@@ -20,7 +20,10 @@
 // the shared simulated cluster.  --obs-out then writes the aggregated
 // per-job service report (PREFIX.report.json).
 #include <algorithm>
+#include <charconv>
+#include <cmath>
 #include <cstring>
+#include <limits>
 #include <fstream>
 #include <iostream>
 #include <optional>
@@ -46,6 +49,32 @@
 using namespace paladin;
 
 namespace {
+
+/// Parses all of `text` as a decimal integer in [lo, hi].  Unlike
+/// std::stoull it refuses a sign ("-1" would wrap), trailing characters
+/// ("12x" would read as 12) and out-of-range values.
+u64 parse_uint(const std::string& text, u64 lo,
+               u64 hi = std::numeric_limits<u64>::max()) {
+  u64 v = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, v);
+  if (ec != std::errc() || ptr != end || v < lo || v > hi) {
+    throw std::invalid_argument("expected an integer in [" +
+                                std::to_string(lo) + ", " +
+                                std::to_string(hi) + "]");
+  }
+  return v;
+}
+
+/// A finite, non-negative decimal number (all of `text`).
+double parse_seconds(const std::string& text) {
+  std::size_t used = 0;
+  const double v = std::stod(text, &used);
+  if (used != text.size() || !std::isfinite(v) || v < 0.0) {
+    throw std::invalid_argument("expected a finite number >= 0");
+  }
+  return v;
+}
 
 struct Options {
   std::string input;
@@ -96,6 +125,16 @@ struct Options {
            "and re-split partitions)\n";
   }
 
+  /// A malformed flag value is a usage error: message, usage, exit 2.
+  [[noreturn]] static void bad_value(const std::string& what,
+                                     const std::string& value,
+                                     const std::exception& e) {
+    std::cerr << "bad value '" << value << "' for " << what << " ("
+              << e.what() << ")\n";
+    usage();
+    std::exit(2);
+  }
+
   static Options parse(int argc, char** argv) {
     Options opt;
     auto need_value = [&](int& i) -> std::string {
@@ -105,6 +144,15 @@ struct Options {
       }
       return argv[++i];
     };
+    auto need_count = [&](int& i) -> u64 {
+      const std::string flag = argv[i];
+      const std::string value = need_value(i);
+      try {
+        return parse_uint(value, 1);
+      } catch (const std::exception& e) {
+        bad_value(flag, value, e);
+      }
+    };
     for (int i = 1; i < argc; ++i) {
       const std::string arg = argv[i];
       if (arg == "--input") {
@@ -112,11 +160,20 @@ struct Options {
       } else if (arg == "--output") {
         opt.output = need_value(i);
       } else if (arg == "--perf") {
+        const std::string value = need_value(i);
         opt.perf.clear();
-        std::stringstream ss(need_value(i));
-        std::string item;
-        while (std::getline(ss, item, ',')) {
-          opt.perf.push_back(static_cast<u32>(std::stoul(item)));
+        try {
+          std::stringstream ss(value);
+          std::string item;
+          while (std::getline(ss, item, ',')) {
+            opt.perf.push_back(static_cast<u32>(
+                parse_uint(item, 1, std::numeric_limits<u32>::max())));
+          }
+          if (opt.perf.empty()) {
+            throw std::invalid_argument("expected a,b,c,...");
+          }
+        } catch (const std::exception& e) {
+          bad_value(arg, value, e);
         }
       } else if (arg == "--algorithm") {
         const std::string name = need_value(i);
@@ -136,13 +193,13 @@ struct Options {
           std::exit(2);
         }
       } else if (arg == "--memory") {
-        opt.memory_records = std::stoull(need_value(i));
+        opt.memory_records = need_count(i);
       } else if (arg == "--message") {
-        opt.message_records = std::stoull(need_value(i));
+        opt.message_records = need_count(i);
       } else if (arg == "--net") {
         opt.net = need_value(i);
       } else if (arg == "--demo") {
-        opt.demo_records = std::stoull(need_value(i));
+        opt.demo_records = need_count(i);
       } else if (arg == "--dist") {
         const std::string name = need_value(i);
         const auto dist = workload::try_parse_dist(name);
@@ -230,13 +287,18 @@ std::vector<u32> load_keys(const Options& opt) {
 
 // --- sort-as-a-service mode (--jobs) -------------------------------------
 
+/// Widths clamp to the cluster at admission; this bound only keeps the
+/// placeholder perf vector of a typo like width=99999999999 allocatable.
+constexpr u64 kMaxJobWidth = u64{1} << 16;
+
 /// One `key=value` pair applied to a JobSpec.  Exits with a message on an
 /// unknown key or unparsable value — the spec is user input.
 void apply_job_field(service::JobSpec& job, const std::string& key,
                      const std::string& value) {
+  constexpr u64 kU32Max = std::numeric_limits<u32>::max();
   try {
     if (key == "n" || key == "records") {
-      job.records = std::stoull(value);
+      job.records = parse_uint(value, 0);
     } else if (key == "dist") {
       const auto dist = workload::try_parse_dist(value);
       if (!dist) throw std::invalid_argument(workload::dist_names());
@@ -246,17 +308,17 @@ void apply_job_field(service::JobSpec& job, const std::string& key,
       if (!algo) throw std::invalid_argument(core::algorithm_names());
       job.algorithm = *algo;
     } else if (key == "width") {
-      job.perf.assign(std::stoul(value), 1);
+      job.perf.assign(parse_uint(value, 0, kMaxJobWidth), 1);
     } else if (key == "arrival") {
-      job.arrival_s = std::stod(value);
+      job.arrival_s = parse_seconds(value);
     } else if (key == "priority") {
-      job.priority = static_cast<u32>(std::stoul(value));
+      job.priority = static_cast<u32>(parse_uint(value, 0, kU32Max));
     } else if (key == "seed") {
-      job.seed = std::stoull(value);
+      job.seed = parse_uint(value, 0);
     } else if (key == "bytes") {
-      job.record_bytes = static_cast<u32>(std::stoul(value));
+      job.record_bytes = static_cast<u32>(parse_uint(value, 0, kU32Max));
     } else if (key == "id") {
-      job.id = std::stoull(value);
+      job.id = parse_uint(value, 0);
     } else {
       std::cerr << "unknown job key '" << key
                 << "'; valid: n dist algo width arrival priority seed "
@@ -264,9 +326,7 @@ void apply_job_field(service::JobSpec& job, const std::string& key,
       std::exit(2);
     }
   } catch (const std::exception& e) {
-    std::cerr << "bad value '" << value << "' for job key '" << key << "' ("
-              << e.what() << ")\n";
-    std::exit(2);
+    Options::bad_value("job key '" + key + "'", value, e);
   }
 }
 
@@ -387,7 +447,7 @@ int run_service(const Options& opt, const net::ClusterConfig& config) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int run_cli(int argc, char** argv) {
   const Options opt = Options::parse(argc, argv);
 
   hetero::PerfVector perf(opt.perf);
@@ -527,4 +587,16 @@ int main(int argc, char** argv) {
   std::cout << "wrote " << original << " sorted keys to " << opt.output
             << "\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  // Flag errors exit 2 from Options::parse; anything the run itself
+  // refuses (a contract the input breaks, an allocation it cannot get)
+  // ends here with a message instead of an abort.
+  try {
+    return run_cli(argc, argv);
+  } catch (const std::exception& e) {
+    std::cerr << "paladin_sort: " << e.what() << "\n";
+    return 1;
+  }
 }

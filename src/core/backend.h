@@ -10,8 +10,9 @@
 //    a backend's full config by slice-assignment instead of field-by-field
 //    plumbing, and slice the common report back out generically;
 //  * BackendContext — the bundle of per-node handles (node, perf, common
-//    config) the shared phase helpers run against, plus a PhaseTimer for
-//    the per-phase time / block-I/O columns every report carries;
+//    config) the shared phase helpers run against, plus the Phase bracket
+//    that produces every report's per-phase time / block-I/O columns and
+//    the matching span, counter and snapshot;
 //  * shared phase helpers — the sampling / splitter-selection / routing /
 //    concatenation scaffolding that used to be re-implemented inside each
 //    ext_* header, hoisted here so the backends keep only their genuinely
@@ -23,6 +24,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <exception>
 #include <span>
 #include <string>
 #include <vector>
@@ -129,21 +131,83 @@ class BackendContext {
   const BackendConfig* common_;
 };
 
-/// Time / block-I/O bracket for one backend phase: captures the virtual
-/// clock and the disk's block-I/O counter at construction so the report's
-/// per-phase columns are one-liners.
-class PhaseTimer {
+/// One backend phase: brackets the virtual clock and the disk's block-I/O
+/// counter from construction to end(), and fills the caller's report
+/// columns there.  A traced phase also records the span
+/// `<backend>.<step>`; a report step (`ios` set) additionally attaches the
+/// block count as the span's `blocks` arg at end() and, on destruction,
+/// sets the `<backend>.io.<name>` counter (name = `step` after its first
+/// '.') and takes the `<step>` snapshot.  Caller counters set through
+/// counter() in between land before the I/O counter, so every phase
+/// exports its counters in one fixed order.
+class Phase {
  public:
-  explicit PhaseTimer(const BackendContext& bc)
-      : bc_(&bc), t0_(bc.now()), io0_(bc.block_ios()) {}
+  /// Untraced bracket: fills `seconds` at end().
+  Phase(const BackendContext& bc, double& seconds)
+      : bc_(&bc), seconds_(&seconds), t0_(bc.now()), io0_(bc.block_ios()) {}
 
-  double seconds() const { return bc_->now() - t0_; }
-  u64 ios() const { return bc_->block_ios() - io0_; }
+  Phase(const BackendContext& bc, std::string backend, std::string step,
+        double& seconds, u64* ios = nullptr, bool blocks_arg = true)
+      : Phase(bc, seconds) {
+    ios_ = ios;
+    blocks_arg_ = blocks_arg;
+    tr_ = bc.obs();
+    if (tr_) {
+      span_ = tr_->open(backend + "." + step, backend);
+      backend_ = std::move(backend);
+      step_ = std::move(step);
+    }
+  }
+
+  Phase(const Phase&) = delete;
+  Phase& operator=(const Phase&) = delete;
+
+  ~Phase() {
+    end();
+    // An exception unwinding through the phase leaves no snapshot behind,
+    // as if the phase had never completed.
+    if (tr_ && ios_ && std::uncaught_exceptions() == uncaught_) {
+      tr_->counters().set(
+          backend_ + ".io." + step_.substr(step_.find('.') + 1), *ios_);
+      tr_->snapshot(step_);
+    }
+  }
+
+  /// Closes the span and fills the report columns (idempotent).
+  void end() {
+    if (ended_) return;
+    ended_ = true;
+    if (tr_) tr_->close(span_);
+    *seconds_ = bc_->now() - t0_;
+    if (ios_) {
+      *ios_ = bc_->block_ios() - io0_;
+      if (blocks_arg_) arg("blocks", *ios_);
+    }
+  }
+
+  /// Attaches an arg to the span; valid before or after end().
+  void arg(std::string key, u64 value) {
+    if (tr_) tr_->arg(span_, std::move(key), value);
+  }
+
+  /// Sets the counter `<backend>.<name>`.
+  void counter(const std::string& name, u64 value) {
+    if (tr_) tr_->counters().set(backend_ + "." + name, value);
+  }
 
  private:
   const BackendContext* bc_;
+  double* seconds_;
   double t0_;
   u64 io0_;
+  u64* ios_ = nullptr;
+  bool blocks_arg_ = false;
+  bool ended_ = false;
+  obs::Tracer* tr_ = nullptr;
+  obs::Tracer::SpanId span_ = 0;
+  std::string backend_;
+  std::string step_;
+  int uncaught_ = std::uncaught_exceptions();
 };
 
 /// Outcome of one adaptive speed re-estimation (hetero::AdaptiveConfig).

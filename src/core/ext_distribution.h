@@ -58,9 +58,9 @@ ExtDistributionReport ext_distribution_sort(
   const u32 p = comm.size();
   const u32 rank = comm.rank();
   BackendContext bc(ctx, perf, config);
-  const PhaseTimer total(bc);
 
   ExtDistributionReport report;
+  Phase total(bc, report.t_total);
   report.local_records = ctx.disk().file_records<T>(config.input);
 
   // ---- Adaptive re-estimation (hetero/drift.h) ------------------------
@@ -123,7 +123,7 @@ ExtDistributionReport ext_distribution_sort(
                               config.sequential, ctx, less);
   if (!config.keep_intermediates) ctx.disk().remove(unsorted_mine);
 
-  report.t_total = total.seconds();
+  total.end();
   return report;
 }
 

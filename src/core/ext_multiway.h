@@ -15,8 +15,9 @@
 //            select_sample_splitters);
 //   Phase 3  one redistribution — every run is cut at the splitters by
 //            binary search *in the runs file* (no partition copy on disk),
-//            and the run pieces travel to their owners in block-multiple,
-//            credit-windowed messages, spilling to one file per source;
+//            and the run pieces travel to their owners through the
+//            core/redistribute.h exchange: block-multiple, credit-windowed
+//            messages, spilling to one file per source;
 //   Phase 4  one global multiway merge — a single loser-tree pass over all
 //            R·p surviving run pieces produces the node's contiguous
 //            sorted slice.  No polyphase, no per-step intermediate sort.
@@ -27,12 +28,6 @@
 // memory budget cannot buffer one block per piece (fan-in R·p exceeds
 // max_fan_in at tiny test geometries) the merge degrades to the balanced
 // multi-pass fallback, exactly like core/merge_files.h.
-//
-// Deadlock-freedom of Phase 3 is the redistribute.h argument verbatim: the
-// exchange runs in p−1 lockstep offset phases; within a phase the pair
-// moves chunks in rounds under a W-chunk credit window, so every wait is
-// on a lexicographically smaller (phase, round, part) position of the
-// partner.  Mailbox occupancy stays O(W · message_bytes) per pair.
 #pragma once
 
 #include <algorithm>
@@ -69,9 +64,10 @@ struct ExtMultiwayOptions {
   /// tree path (BackendConfig::splitter) the dedup runs per level in
   /// unique-value space — core/splitter_tree.h's merge_equal mode.
   bool unique_splitters = true;
-  /// Per-pair credit window during the run-piece exchange.
-  u64 flow_window_chunks = kDefaultFlowWindow;
 };
+
+/// Wire tags and counter prefix of the run-piece exchange.
+inline constexpr ExchangeChannel kMultiwayChannel{70, 71, 72, "multiway"};
 
 struct ExtMultiwayConfig : BackendConfig, ExtMultiwayOptions {};
 
@@ -137,12 +133,8 @@ ExtMultiwayReport ext_multiway_sort(net::NodeContext& ctx,
                                     Less less = {}) {
   PALADIN_EXPECTS(perf.node_count() == ctx.node_count());
   PALADIN_EXPECTS(config.designated_node < ctx.node_count());
-  net::Communicator& comm = ctx.comm();
-  const u32 p = comm.size();
-  const u32 rank = comm.rank();
-  constexpr int kTagHeader = 70;
-  constexpr int kTagData = 71;
-  constexpr int kTagAck = 72;
+  const u32 p = ctx.node_count();
+  const u32 rank = ctx.rank();
 
   BackendContext bc(ctx, perf, config);
   obs::Tracer* const tr = ctx.obs();
@@ -151,15 +143,14 @@ ExtMultiwayReport ext_multiway_sort(net::NodeContext& ctx,
   report.local_records = ctx.disk().file_records<T>(config.input);
   if (tr) tr->counters().set("multiway.records_in", report.local_records);
 
-  const PhaseTimer total(bc);
-  obs::ScopedSpan sort_span(tr, "multiway.sort", "multiway");
+  Phase total(bc, "multiway", "sort", report.t_total);
 
   // ---- Phase 1: run formation (one pass, no local merge) --------------
   const std::string runs_file = config.output + ".mwruns";
   seq::RunLayout runs;
   {
-    const PhaseTimer phase(bc);
-    obs::ScopedSpan span(tr, "multiway.phase1.run_formation", "multiway");
+    Phase phase(bc, "multiway", "phase1.run_formation",
+                report.t_run_formation, &report.io_run_formation);
     pdm::BlockFile in = ctx.disk().open(config.input);
     pdm::BlockReader<T> reader(in);
     pdm::BlockFile out = ctx.disk().create(runs_file);
@@ -167,43 +158,30 @@ ExtMultiwayReport ext_multiway_sort(net::NodeContext& ctx,
     runs = seq::form_runs<T, Less>(config.sequential.run_formation, reader,
                                    writer, config.sequential.memory_records,
                                    ctx, less);
-    span.end();
     report.initial_runs = runs.run_count();
-    report.t_run_formation = phase.seconds();
-    report.io_run_formation = phase.ios();
-    span.arg("runs", report.initial_runs);
-    span.arg("blocks", report.io_run_formation);
-  }
-  if (tr) {
-    tr->counters().set("multiway.initial_runs", report.initial_runs);
-    tr->counters().set("multiway.io.run_formation", report.io_run_formation);
-    tr->snapshot("phase1.run_formation");
+    phase.arg("runs", report.initial_runs);
+    phase.counter("initial_runs", report.initial_runs);
   }
 
   if (p == 1) {
     // Degenerate single-node "cluster": Phase 4 directly on the runs.
-    const PhaseTimer phase(bc);
-    obs::ScopedSpan span(tr, "multiway.phase4.merge", "multiway");
-    report.merge_fan_in = runs.run_count();
-    report.merge_passes = std::max<u64>(
-        seq::merge_runs_balanced<T, Less>(ctx.disk(), runs_file, runs,
-                                          config.output,
-                                          config.sequential.memory_records,
-                                          ctx, less,
-                                          config.sequential.merge),
-        runs.run_count() > 0 ? 1 : 0);
-    if (!config.keep_intermediates) ctx.disk().remove(runs_file);
-    span.end();
-    report.final_records = report.local_records;
-    report.t_merge = phase.seconds();
-    report.io_merge = phase.ios();
-    report.t_total = total.seconds();
-    span.arg("blocks", report.io_merge);
-    if (tr) {
-      tr->counters().set("multiway.records_out", report.final_records);
-      tr->counters().set("multiway.io.merge", report.io_merge);
-      tr->snapshot("phase4.merge");
+    {
+      Phase phase(bc, "multiway", "phase4.merge", report.t_merge,
+                  &report.io_merge);
+      report.merge_fan_in = runs.run_count();
+      report.merge_passes = std::max<u64>(
+          seq::merge_runs_balanced<T, Less>(ctx.disk(), runs_file, runs,
+                                            config.output,
+                                            config.sequential.memory_records,
+                                            ctx, less,
+                                            config.sequential.merge),
+          runs.run_count() > 0 ? 1 : 0);
+      if (!config.keep_intermediates) ctx.disk().remove(runs_file);
+      phase.end();
+      report.final_records = report.local_records;
+      phase.counter("records_out", report.final_records);
     }
+    total.end();
     return report;
   }
 
@@ -223,8 +201,8 @@ ExtMultiwayReport ext_multiway_sort(net::NodeContext& ctx,
   // ---- Phase 2: oversampled random splitters --------------------------
   std::vector<T> splitters;
   {
-    const PhaseTimer phase(bc);
-    obs::ScopedSpan span(tr, "multiway.phase2.splitters", "multiway");
+    Phase phase(bc, "multiway", "phase2.splitters", report.t_splitters,
+                &report.io_splitters);
     const u64 want = std::min<u64>(
         report.local_records,
         static_cast<u64>(config.oversample) * p * perf[rank]);
@@ -235,150 +213,67 @@ ExtMultiwayReport ext_multiway_sort(net::NodeContext& ctx,
         bc, std::move(sample), p - 1, &perf, config.unique_splitters,
         config.designated_node, less,
         adapt_weights.empty() ? nullptr : &adapt_weights);
-    span.end();
-    report.t_splitters = phase.seconds();
-    report.io_splitters = phase.ios();
-    span.arg("samples", report.samples_contributed);
-    span.arg("blocks", report.io_splitters);
-  }
-  if (tr) {
-    tr->counters().set("multiway.samples", report.samples_contributed);
-    tr->counters().set("multiway.io.splitters", report.io_splitters);
-    tr->snapshot("phase2.splitters");
+    phase.arg("samples", report.samples_contributed);
+    phase.counter("samples", report.samples_contributed);
   }
 
   // ---- Phase 3: cut every run at the splitters; exchange the pieces ----
-  // cuts[r][j] = absolute record offset (in the runs file) where run r's
-  // piece for node j begins; cuts[r][p] = run end.
+  // outgoing[j] lists, in run order, each run's piece for node j in the
+  // runs file; what node src sent lands in received_name(recv_prefix, src)
+  // with its piece layout in received[src].
   const std::string recv_prefix = config.output + ".mwrecv";
-  std::vector<std::vector<u64>> cuts(runs.run_count());
-  std::vector<seq::RunLayout> recv_runs(p);  // piece lengths per source
+  std::vector<Outgoing> outgoing(p, Outgoing{runs_file, {}});
+  std::vector<std::vector<u64>> received;
   {
-    const PhaseTimer phase(bc);
-    obs::ScopedSpan span(tr, "multiway.phase3.exchange", "multiway");
+    Phase phase(bc, "multiway", "phase3.exchange", report.t_exchange,
+                &report.io_exchange);
     {
       pdm::BlockFile f = ctx.disk().open(runs_file);
       pdm::BlockReader<T> reader(f);
       u64 run_start = 0;
       for (u64 r = 0; r < runs.run_count(); ++r) {
         const u64 run_end = run_start + runs.run_lengths[r];
-        cuts[r].assign(p + 1, run_end);
-        cuts[r][0] = run_start;
-        for (u32 j = 1; j <= splitters.size(); ++j) {
+        u64 cut = run_start;
+        for (u32 j = 0; j < p; ++j) {
           // Cuts are monotone in j, so each search starts at the previous
           // cut instead of the run start.
-          cuts[r][j] = detail::file_lower_bound<T, Less>(
-              reader, cuts[r][j - 1], run_end, splitters[j - 1], ctx, less);
+          const u64 next =
+              j < splitters.size()
+                  ? detail::file_lower_bound<T, Less>(reader, cut, run_end,
+                                                      splitters[j], ctx, less)
+                  : run_end;
+          outgoing[j].pieces.push_back({cut, next - cut});
+          cut = next;
         }
         run_start = run_end;
       }
     }
-
-    const u64 msg =
-        clamped_message_records<T>(ctx.disk(), config.message_records);
-    report.effective_message_records = msg;
-    std::vector<T> chunk;
-    chunk.reserve(msg);
-    for (u32 offset = 1; offset < p; ++offset) {
-      const u32 dst = (rank + offset) % p;
-      const u32 src = (rank + p - offset) % p;
-
-      // Per-run piece lengths as the pair header, both directions.
-      std::vector<u64> send_pieces(runs.run_count());
-      u64 send_total = 0;
-      u64 send_chunks = 0;
-      for (u64 r = 0; r < runs.run_count(); ++r) {
-        send_pieces[r] = cuts[r][dst + 1] - cuts[r][dst];
-        send_total += send_pieces[r];
-        send_chunks += ceil_div(send_pieces[r], msg);
-      }
-      comm.template send_records<u64>(dst, kTagHeader, send_pieces);
-      const std::vector<u64> recv_pieces =
-          comm.template recv_records<u64>(src, kTagHeader);
-      u64 recv_total = 0;
-      u64 recv_chunks = 0;
-      for (const u64 len : recv_pieces) {
-        recv_total += len;
-        recv_chunks += ceil_div(len, msg);
-      }
-      recv_runs[src].run_lengths = recv_pieces;
-      recv_runs[src].total_records = recv_total;
-
-      pdm::BlockFile f = ctx.disk().open(runs_file);
-      pdm::BlockReader<T> reader(f);
-      pdm::BlockFile rf = ctx.disk().create(received_name(recv_prefix, src));
-      pdm::BlockWriter<T> writer(rf);
-
-      // Sender-side walk over this destination's pieces, in run order.
-      u64 send_run = 0;
-      u64 piece_left = 0;
-      u64 sent = 0;
-      u64 got = 0;
-      const u64 rounds = std::max(send_chunks, recv_chunks);
-      for (u64 k = 0; k < rounds; ++k) {
-        if (k < send_chunks) {
-          if (k >= config.flow_window_chunks) {
-            comm.recv_packet(dst, kTagAck);  // credit: chunk k−W consumed
-            if (tr) tr->counters().add("multiway.acks_consumed", 1);
-          }
-          while (piece_left == 0) {
-            PALADIN_ASSERT(send_run < runs.run_count());
-            piece_left = send_pieces[send_run];
-            if (piece_left > 0) reader.seek_record(cuts[send_run][dst]);
-            ++send_run;
-          }
-          const u64 take = std::min(msg, piece_left);
-          chunk.resize(take);
-          const u64 read = reader.read_span(std::span<T>(chunk));
-          PALADIN_ASSERT(read == take);
-          comm.template send_records<T>(dst, kTagData, chunk);
-          ++report.messages_sent;
-          piece_left -= take;
-          sent += take;
-          if (tr) tr->counters().add("multiway.chunks_sent", 1);
-        }
-        if (k < recv_chunks) {
-          std::vector<T> data = comm.template recv_records<T>(src, kTagData);
-          PALADIN_ASSERT(!data.empty());
-          writer.push_span(std::span<const T>(data));
-          got += data.size();
-          comm.send_value<u8>(src, kTagAck, 0);
-          if (tr) tr->counters().add("multiway.acks_sent", 1);
-        }
-      }
-      writer.flush();
-      chunk.clear();
-      PALADIN_ASSERT(sent == send_total);
-      PALADIN_ASSERT(got == recv_total);
-    }
-    span.end();
-    report.t_exchange = phase.seconds();
-    report.io_exchange = phase.ios();
-    span.arg("blocks", report.io_exchange);
-    span.arg("messages", report.messages_sent);
-  }
-  if (tr) {
-    tr->counters().set("multiway.messages_sent", report.messages_sent);
-    tr->counters().set("multiway.effective_message_records",
-                       report.effective_message_records);
-    tr->counters().set("multiway.io.exchange", report.io_exchange);
-    tr->snapshot("phase3.exchange");
+    ExchangeResult exchanged = exchange_pieces<T>(
+        ctx, outgoing, recv_prefix, config.message_records,
+        kDefaultFlowWindow, kMultiwayChannel);
+    report.messages_sent = exchanged.messages;
+    report.effective_message_records = exchanged.effective_message_records;
+    received = std::move(exchanged.received_pieces);
+    phase.end();
+    phase.arg("messages", report.messages_sent);
+    phase.counter("messages_sent", report.messages_sent);
+    phase.counter("effective_message_records",
+                  report.effective_message_records);
   }
 
   // ---- Phase 4: one global multiway merge over all surviving pieces ----
   {
-    const PhaseTimer phase(bc);
-    obs::ScopedSpan span(tr, "multiway.phase4.merge", "multiway");
+    Phase phase(bc, "multiway", "phase4.merge", report.t_merge,
+                &report.io_merge);
     std::vector<seq::MergePiece> pieces;
-    for (u64 r = 0; r < runs.run_count(); ++r) {
-      const u64 len = cuts[r][rank + 1] - cuts[r][rank];
-      if (len > 0) pieces.push_back({runs_file, cuts[r][rank], len});
+    for (const Piece& piece : outgoing[rank].pieces) {
+      if (piece.len > 0) pieces.push_back({runs_file, piece.offset, piece.len});
     }
     for (u32 off = 1; off < p; ++off) {
       const u32 src = (rank + p - off) % p;
       const std::string name = received_name(recv_prefix, src);
       u64 pos = 0;
-      for (const u64 len : recv_runs[src].run_lengths) {
+      for (const u64 len : received[src]) {
         if (len > 0) pieces.push_back({name, pos, len});
         pos += len;
       }
@@ -442,20 +337,13 @@ ExtMultiwayReport ext_multiway_sort(net::NodeContext& ctx,
         ctx.disk().remove(received_name(recv_prefix, src));
       }
     }
-    span.end();
-    report.t_merge = phase.seconds();
-    report.io_merge = phase.ios();
-    span.arg("blocks", report.io_merge);
-    span.arg("records", report.final_records);
-    span.arg("fan_in", report.merge_fan_in);
+    phase.end();
+    phase.arg("records", report.final_records);
+    phase.arg("fan_in", report.merge_fan_in);
+    phase.counter("records_out", report.final_records);
+    phase.counter("merge_fan_in", report.merge_fan_in);
   }
-  report.t_total = total.seconds();
-  if (tr) {
-    tr->counters().set("multiway.records_out", report.final_records);
-    tr->counters().set("multiway.merge_fan_in", report.merge_fan_in);
-    tr->counters().set("multiway.io.merge", report.io_merge);
-    tr->snapshot("phase4.merge");
-  }
+  total.end();
   return report;
 }
 

@@ -60,11 +60,11 @@ ExtOverpartitionReport ext_overpartition_sort(
   const u32 rank = comm.rank();
   const u64 buckets = static_cast<u64>(p) * config.s;
   BackendContext bc(ctx, perf, config);
-  const PhaseTimer total(bc);
   constexpr int kTagHeader = 60;
   constexpr int kTagData = 61;
 
   ExtOverpartitionReport report;
+  Phase total(bc, report.t_total);
   report.layout = OutputLayout::kBucketFiles;
   report.local_records = ctx.disk().file_records<T>(config.input);
 
@@ -95,9 +95,9 @@ ExtOverpartitionReport ext_overpartition_sort(
         std::span<const u64>(local_sizes), 0);
     if (rank == 0) {
       for (u64 b = 0; b < buckets; ++b) {
-        u64 total = 0;
-        for (u32 i = 0; i < p; ++i) total += gathered[i * buckets + b];
-        global_sizes[b] = total;
+        u64 size = 0;
+        for (u32 i = 0; i < p; ++i) size += gathered[i * buckets + b];
+        global_sizes[b] = size;
       }
     }
     global_sizes =
@@ -197,7 +197,7 @@ ExtOverpartitionReport ext_overpartition_sort(
     report.final_records += ctx.disk().file_records<T>(owned_bucket(b));
   }
 
-  report.t_total = total.seconds();
+  total.end();
   return report;
 }
 

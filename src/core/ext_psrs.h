@@ -119,44 +119,27 @@ ExtPsrsReport ext_psrs_sort(net::NodeContext& ctx,
   PALADIN_EXPECTS_MSG(report.local_records == perf.share(rank, n),
                       "node share does not match perf-proportional layout");
 
-  const double t0 = ctx.clock().now();
-  const u64 io0 = ctx.disk().stats().total_block_ios();
-  obs::ScopedSpan sort_span(tr, "psrs.sort", "psrs");
-
-  if (p == 1) {
-    // Degenerate single-node "cluster": Algorithm 1 collapses to Step 1.
-    obs::ScopedSpan span(tr, "psrs.step1.seq_sort", "psrs");
-    seq::external_sort<T, Less>(ctx.disk(), config.input, config.output,
-                                config.sequential, ctx, less, tr);
-    span.end();
-    report.final_records = report.local_records;
-    report.t_seq_sort = ctx.clock().now() - t0;
-    report.io_seq_sort = ctx.disk().stats().total_block_ios() - io0;
-    report.t_total = report.t_seq_sort;
-    report.io_final_merge = 0;
-    span.arg("blocks", report.io_seq_sort);
-    if (tr) {
-      tr->counters().set("psrs.records_out", report.final_records);
-      tr->counters().set("psrs.io.seq_sort", report.io_seq_sort);
-      tr->snapshot("step1.seq_sort");
-    }
-    return report;
-  }
+  const BackendContext bc(ctx, perf, config);
+  Phase total(bc, "psrs", "sort", report.t_total);
 
   // ---- Step 1: sequential external sort of the local share -----------
-  const std::string sorted_local = config.output + ".step1";
+  // A single-node "cluster" collapses Algorithm 1 to this step.
+  const std::string sorted_local =
+      p == 1 ? config.output : config.output + ".step1";
   {
-    obs::ScopedSpan span(tr, "psrs.step1.seq_sort", "psrs");
+    Phase step(bc, "psrs", "step1.seq_sort", report.t_seq_sort,
+               &report.io_seq_sort);
     seq::external_sort<T, Less>(ctx.disk(), config.input, sorted_local,
                                 config.sequential, ctx, less, tr);
-    span.end();
-    report.t_seq_sort = ctx.clock().now() - t0;
-    report.io_seq_sort = ctx.disk().stats().total_block_ios() - io0;
-    span.arg("blocks", report.io_seq_sort);
+    if (p == 1) {
+      step.end();
+      report.final_records = report.local_records;
+      step.counter("records_out", report.final_records);
+    }
   }
-  if (tr) {
-    tr->counters().set("psrs.io.seq_sort", report.io_seq_sort);
-    tr->snapshot("step1.seq_sort");
+  if (p == 1) {
+    total.end();
+    return report;
   }
 
   // ---- Adaptive re-estimation (hetero/drift.h) ------------------------
@@ -169,18 +152,16 @@ ExtPsrsReport ext_psrs_sort(net::NodeContext& ctx,
   std::vector<double> adapt_weights;
   if (config.adaptive.enabled) {
     obs::ScopedSpan span(tr, "psrs.adapt", "drift");
-    const BackendContext bc(ctx, perf, config);
     const AdaptiveOutcome ad = adaptive_reestimate(
         bc, config.adaptive, report.local_records, config.designated_node);
     if (ad.applied) adapt_weights = ad.weights;
   }
 
   // ---- Step 2: regular sampling & pivot selection ---------------------
-  const double t1 = ctx.clock().now();
-  const u64 io1 = ctx.disk().stats().total_block_ios();
   std::vector<T> pivots;
   {
-    obs::ScopedSpan span(tr, "psrs.step2.sampling", "psrs");
+    Phase step(bc, "psrs", "step2.sampling", report.t_sampling,
+               &report.io_sampling, /*blocks_arg=*/false);
     if (adapt_weights.empty() && splitter_uses_tree(config.splitter, p)) {
       // Multi-level path (core/splitter_tree.h): densified leaf sample,
       // group-tree digest reduction, flat pivot formulas at the root.
@@ -242,59 +223,46 @@ ExtPsrsReport ext_psrs_sort(net::NodeContext& ctx,
                                               config.designated_node);
       PALADIN_ASSERT(pivots.size() == p - 1);
     }
-  }
-  report.t_sampling = ctx.clock().now() - t1;
-  report.io_sampling = ctx.disk().stats().total_block_ios() - io1;
-  if (tr) {
-    tr->counters().set("psrs.samples", report.samples_contributed);
-    tr->counters().set("psrs.io.sampling", report.io_sampling);
-    tr->snapshot("step2.sampling");
+    step.counter("samples", report.samples_contributed);
   }
 
   if (config.pipelined) {
     // ---- Steps 3–5, fused: overlapped partition→send→merge ------------
-    const double t2 = ctx.clock().now();
-    const u64 io2 = ctx.disk().stats().total_block_ios();
-    const u64 msg =
-        clamped_message_records<T>(ctx.disk(), config.message_records);
-    report.effective_message_records = msg;
-    obs::ScopedSpan span(tr, "psrs.steps3-5.pipeline", "psrs");
-    const PipelineOutcome piped = pipelined_exchange_merge<T, Less>(
-        ctx, sorted_local, config.output, std::span<const T>(pivots), msg,
-        config.flow_window_chunks, less);
-    if (!config.keep_intermediates) ctx.disk().remove(sorted_local);
-    span.end();
-    report.final_records = piped.merged;
-    report.messages_sent = piped.data_messages;
-    report.t_pipeline = ctx.clock().now() - t2;
-    report.io_pipeline = ctx.disk().stats().total_block_ios() - io2;
-    span.arg("blocks", report.io_pipeline);
-    span.arg("records", report.final_records);
-    // The fused steps touch the disk once on each side — read the sorted
-    // file (l_i records), write the final partition — which is the
-    // ≈ Q/B + l_i/B bound the pipeline exists to meet.
-    const u64 rpb = ctx.disk().params().records_per_block(sizeof(T));
-    const u64 bound = ceil_div(report.local_records, rpb) +
-                      ceil_div(report.final_records, rpb);
-    PALADIN_ENSURES(report.io_pipeline <= bound + 2);
-    report.t_total = ctx.clock().now() - t0;
-    if (tr) {
-      tr->counters().set("psrs.records_out", report.final_records);
-      tr->counters().set("psrs.messages_sent", report.messages_sent);
-      tr->counters().set("psrs.effective_message_records",
-                         report.effective_message_records);
-      tr->counters().set("psrs.io.pipeline", report.io_pipeline);
-      tr->snapshot("steps3-5.pipeline");
+    {
+      Phase step(bc, "psrs", "steps3-5.pipeline", report.t_pipeline,
+                 &report.io_pipeline);
+      const u64 msg =
+          clamped_message_records<T>(ctx.disk(), config.message_records);
+      report.effective_message_records = msg;
+      const PipelineOutcome piped = pipelined_exchange_merge<T, Less>(
+          ctx, sorted_local, config.output, std::span<const T>(pivots), msg,
+          config.flow_window_chunks, less);
+      if (!config.keep_intermediates) ctx.disk().remove(sorted_local);
+      step.end();
+      report.final_records = piped.merged;
+      report.messages_sent = piped.data_messages;
+      step.arg("records", report.final_records);
+      // The fused steps touch the disk once on each side — read the sorted
+      // file (l_i records), write the final partition — which is the
+      // ≈ Q/B + l_i/B bound the pipeline exists to meet.
+      const u64 rpb = ctx.disk().params().records_per_block(sizeof(T));
+      const u64 bound = ceil_div(report.local_records, rpb) +
+                        ceil_div(report.final_records, rpb);
+      PALADIN_ENSURES(report.io_pipeline <= bound + 2);
+      step.counter("records_out", report.final_records);
+      step.counter("messages_sent", report.messages_sent);
+      step.counter("effective_message_records",
+                   report.effective_message_records);
     }
+    total.end();
     return report;
   }
 
   // ---- Step 3: partition the sorted file by the pivots ----------------
-  const double t2 = ctx.clock().now();
-  const u64 io2 = ctx.disk().stats().total_block_ios();
   const std::string part_prefix = config.output + ".step3";
   {
-    obs::ScopedSpan span(tr, "psrs.step3.partition", "psrs");
+    Phase step(bc, "psrs", "step3.partition", report.t_partition,
+               &report.io_partition);
     if (config.partition_boundary_seek) {
       partition_sorted_file_seek<T, Less>(ctx.disk(), sorted_local,
                                           part_prefix,
@@ -305,23 +273,14 @@ ExtPsrsReport ext_psrs_sort(net::NodeContext& ctx,
                                      std::span<const T>(pivots), ctx, less);
     }
     if (!config.keep_intermediates) ctx.disk().remove(sorted_local);
-    span.end();
-    report.t_partition = ctx.clock().now() - t2;
-    report.io_partition = ctx.disk().stats().total_block_ios() - io2;
-    span.arg("blocks", report.io_partition);
-  }
-  if (tr) {
-    tr->counters().set("psrs.io.partition", report.io_partition);
-    tr->snapshot("step3.partition");
   }
 
   // ---- Step 4: redistribution -----------------------------------------
-  const double t3 = ctx.clock().now();
-  const u64 io3 = ctx.disk().stats().total_block_ios();
   const std::string recv_prefix = config.output + ".step4";
   {
-    obs::ScopedSpan span(tr, "psrs.step4.redistribute", "psrs");
-    const RedistributeResult exchanged = redistribute_partitions<T>(
+    Phase step(bc, "psrs", "step4.redistribute", report.t_redistribute,
+               &report.io_redistribute);
+    const ExchangeResult exchanged = redistribute_partitions<T>(
         ctx, part_prefix, recv_prefix, config.message_records,
         config.flow_window_chunks);
     report.messages_sent = exchanged.messages;
@@ -331,25 +290,17 @@ ExtPsrsReport ext_psrs_sort(net::NodeContext& ctx,
         if (j != rank) ctx.disk().remove(partition_name(part_prefix, j));
       }
     }
-    span.end();
-    report.t_redistribute = ctx.clock().now() - t3;
-    report.io_redistribute = ctx.disk().stats().total_block_ios() - io3;
-    span.arg("blocks", report.io_redistribute);
-    span.arg("messages", report.messages_sent);
-  }
-  if (tr) {
-    tr->counters().set("psrs.messages_sent", report.messages_sent);
-    tr->counters().set("psrs.effective_message_records",
-                       report.effective_message_records);
-    tr->counters().set("psrs.io.redistribute", report.io_redistribute);
-    tr->snapshot("step4.redistribute");
+    step.end();
+    step.arg("messages", report.messages_sent);
+    step.counter("messages_sent", report.messages_sent);
+    step.counter("effective_message_records",
+                 report.effective_message_records);
   }
 
   // ---- Step 5: final merge of the p sorted runs ------------------------
-  const double t4 = ctx.clock().now();
-  const u64 io4 = ctx.disk().stats().total_block_ios();
   {
-    obs::ScopedSpan span(tr, "psrs.step5.final_merge", "psrs");
+    Phase step(bc, "psrs", "step5.final_merge", report.t_final_merge,
+               &report.io_final_merge);
     // Runs: the local partition we kept plus one file per peer.
     std::vector<std::string> run_files;
     run_files.reserve(p);
@@ -379,18 +330,11 @@ ExtPsrsReport ext_psrs_sort(net::NodeContext& ctx,
     if (!config.keep_intermediates) {
       for (const std::string& f : run_files) ctx.disk().remove(f);
     }
-    span.end();
-    report.t_final_merge = ctx.clock().now() - t4;
-    report.io_final_merge = ctx.disk().stats().total_block_ios() - io4;
-    span.arg("blocks", report.io_final_merge);
-    span.arg("records", report.final_records);
+    step.end();
+    step.arg("records", report.final_records);
+    step.counter("records_out", report.final_records);
   }
-  report.t_total = ctx.clock().now() - t0;
-  if (tr) {
-    tr->counters().set("psrs.records_out", report.final_records);
-    tr->counters().set("psrs.io.final_merge", report.io_final_merge);
-    tr->snapshot("step5.final_merge");
-  }
+  total.end();
   return report;
 }
 

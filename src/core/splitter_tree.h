@@ -299,7 +299,8 @@ std::vector<WeightedSample<T>> splitter_tree_gather(
     std::vector<std::vector<WS>> runs;
     runs.reserve(fanout);
     runs.push_back(std::move(digest));
-    const u32 end = std::min<u64>(static_cast<u64>(lead) + fanout, active);
+    const u32 end = static_cast<u32>(
+        std::min<u64>(static_cast<u64>(lead) + fanout, active));
     for (u32 m = lead + 1; m < end; ++m) {
       runs.push_back(comm.template recv_records<WS>(
           rank_of(static_cast<u64>(m) * stride), kTagSplitterDigest));
@@ -308,7 +309,7 @@ std::vector<WeightedSample<T>> splitter_tree_gather(
                                           merge_equal, less, stats);
     span.arg("points_kept", digest.size());
     span.end();
-    active = ceil_div(active, fanout);
+    active = static_cast<u32>(ceil_div(active, fanout));
     idx = group;
     stride *= fanout;
   }

@@ -358,7 +358,7 @@ TEST(Integration, RedistributeMovesExactPartitionContents) {
       for (u32 k = 0; k < got.size(); ++k) {
         ok = ok && got[k] == 1000 * src + 100 * ctx.rank() + k;
       }
-      ok = ok && result.received_records[src] == got.size();
+      ok = ok && result.received_records(src) == got.size();
     }
     // Messages: ceil(count/message_records) per outgoing peer partition,
     // after the block-multiple clamp (64-byte blocks, u32 → requested 4

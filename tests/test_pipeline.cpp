@@ -265,33 +265,122 @@ TEST(Redistribute, SubBlockMessageSizeStillSortsIdentically) {
 // Legacy exchange: zero-size partitions and flow-controlled schedule
 // ---------------------------------------------------------------------
 
+/// Piece lengths node `r` ships to node `j` in the multi-piece input:
+/// zero-length pieces in the middle and at the end, and a tail piece that
+/// needs two 16-record messages.
+std::vector<u64> multi_piece_lengths(u32 r, u32 j) {
+  return {r + j + 1, 0, 0, 17 + j, 0};
+}
+
+/// The k-th record of the stream node `r` ships to node `j`.
+DefaultKey multi_piece_value(u32 r, u32 j, u64 k) {
+  return static_cast<DefaultKey>(100000 * r + 1000 * j + k);
+}
+
 TEST(Redistribute, ZeroSizePartitionsExchangeCleanly) {
-  // Node r's partition j holds j records of value r: partition 0 is empty
-  // on every node, so every node both sends and receives empty streams.
-  ClusterConfig config;
-  config.perf = {1, 1, 1};
-  config.disk = tiny_blocks();
-  Cluster cluster(config);
+  // Whole-file input: node r's partition j holds j records of value r, so
+  // partition 0 is empty on every node and every node both sends and
+  // receives empty streams.
+  {
+    ClusterConfig config;
+    config.perf = {1, 1, 1};
+    config.disk = tiny_blocks();
+    Cluster cluster(config);
 
-  auto outcome = cluster.run([&](NodeContext& ctx) -> RedistributeResult {
-    const u32 p = ctx.node_count();
-    for (u32 j = 0; j < p; ++j) {
-      std::vector<DefaultKey> data(j, ctx.rank());
-      pdm::write_file<DefaultKey>(ctx.disk(), "px.part" + std::to_string(j),
-                                  std::span<const DefaultKey>(data));
-    }
-    return redistribute_partitions<DefaultKey>(ctx, "px", "rx",
-                                               /*message_records=*/16,
-                                               /*window_chunks=*/2);
-  });
+    auto outcome = cluster.run([&](NodeContext& ctx) -> ExchangeResult {
+      const u32 p = ctx.node_count();
+      for (u32 j = 0; j < p; ++j) {
+        std::vector<DefaultKey> data(j, ctx.rank());
+        pdm::write_file<DefaultKey>(ctx.disk(), "px.part" + std::to_string(j),
+                                    std::span<const DefaultKey>(data));
+      }
+      return redistribute_partitions<DefaultKey>(ctx, "px", "rx",
+                                                 /*message_records=*/16,
+                                                 /*window_chunks=*/2);
+    });
 
-  for (u32 r = 0; r < 3; ++r) {
-    const RedistributeResult& res = outcome.results[r];
-    for (u32 src = 0; src < 3; ++src) {
-      EXPECT_EQ(res.received_records[src], r) << "node " << r;
-      EXPECT_EQ(res.sent_records[src], src) << "node " << r;
+    for (u32 r = 0; r < 3; ++r) {
+      const ExchangeResult& res = outcome.results[r];
+      for (u32 src = 0; src < 3; ++src) {
+        EXPECT_EQ(res.received_records(src), r) << "node " << r;
+        EXPECT_EQ(res.received_pieces[src], std::vector<u64>{r})
+            << "node " << r;
+        EXPECT_EQ(res.sent_records[src], src) << "node " << r;
+      }
+      EXPECT_EQ(res.effective_message_records, 16u);
     }
-    EXPECT_EQ(res.effective_message_records, 16u);
+  }
+
+  // Multi-piece input (the multiway shape): node r's file interleaves the
+  // pieces of every destination, so each piece needs its own seek, and
+  // every stream carries zero-length pieces; window 1 makes every chunk
+  // after the first wait for a credit.
+  for (u32 p = 2; p <= 4; ++p) {
+    ClusterConfig config;
+    config.perf.assign(p, 1);
+    config.disk = tiny_blocks();
+    Cluster cluster(config);
+
+    struct Landed {
+      ExchangeResult res;
+      std::vector<std::vector<DefaultKey>> from;  ///< spill file per source
+    };
+    auto outcome = cluster.run([&](NodeContext& ctx) -> Landed {
+      const u32 r = ctx.rank();
+      std::vector<Outgoing> outgoing(p, Outgoing{"mp", {}});
+      std::vector<DefaultKey> file;
+      std::vector<u64> streamed(p, 0);
+      const u64 piece_count = multi_piece_lengths(0, 0).size();
+      for (u64 q = 0; q < piece_count; ++q) {
+        for (u32 j = 0; j < p; ++j) {
+          const u64 len = multi_piece_lengths(r, j)[q];
+          outgoing[j].pieces.push_back({file.size(), len});
+          for (u64 k = 0; k < len; ++k) {
+            file.push_back(multi_piece_value(r, j, streamed[j]++));
+          }
+        }
+      }
+      pdm::write_file<DefaultKey>(ctx.disk(), "mp",
+                                  std::span<const DefaultKey>(file));
+      Landed landed{exchange_pieces<DefaultKey>(ctx, outgoing, "mx",
+                                                /*message_records=*/16,
+                                                /*window_chunks=*/1),
+                    std::vector<std::vector<DefaultKey>>(p)};
+      for (u32 src = 0; src < p; ++src) {
+        if (src == r) continue;
+        landed.from[src] = pdm::read_file<DefaultKey>(
+            ctx.disk(), received_name("mx", src));
+      }
+      return landed;
+    });
+
+    for (u32 r = 0; r < p; ++r) {
+      const ExchangeResult& res = outcome.results[r].res;
+      u64 messages = 0;
+      for (u32 j = 0; j < p; ++j) {
+        const std::vector<u64> lens = multi_piece_lengths(r, j);
+        u64 total = 0;
+        for (u64 len : lens) total += len;
+        EXPECT_EQ(res.sent_records[j], total) << "p=" << p << " node " << r;
+        if (j != r) {
+          for (u64 len : lens) messages += ceil_div(len, 16);
+        }
+      }
+      EXPECT_EQ(res.messages, messages) << "p=" << p << " node " << r;
+      EXPECT_EQ(res.effective_message_records, 16u);
+      for (u32 src = 0; src < p; ++src) {
+        const std::vector<u64> lens = multi_piece_lengths(src, r);
+        EXPECT_EQ(res.received_pieces[src], lens)
+            << "p=" << p << " node " << r << " from " << src;
+        if (src == r) continue;
+        const std::vector<DefaultKey>& got = outcome.results[r].from[src];
+        ASSERT_EQ(got.size(), res.received_records(src));
+        for (u64 k = 0; k < got.size(); ++k) {
+          ASSERT_EQ(got[k], multi_piece_value(src, r, k))
+              << "p=" << p << " node " << r << " from " << src << " @" << k;
+        }
+      }
+    }
   }
 }
 
