@@ -1,6 +1,8 @@
 // paladin_sort — command-line front end: sort a real binary file of
 // little-endian u32 keys on a simulated heterogeneous cluster with any of
 // the parallel external-sort backends, and write the sorted file back.
+// Node disks are real files in a temporary directory and the input and
+// output are streamed, so the keys need not fit in RAM.
 //
 //   build/examples/paladin_sort --input keys.bin --output sorted.bin \
 //       --perf 4,4,1,1 [--algorithm ext-psrs|ext-distribution|...]
@@ -23,13 +25,16 @@
 #include <charconv>
 #include <cmath>
 #include <cstring>
-#include <limits>
+#include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
+
+#include <unistd.h>
 
 #include "base/temp_dir.h"
 #include "core/backend.h"
@@ -249,40 +254,102 @@ struct Options {
 /// Demo keys: the perf-proportional concatenation of per-node generator
 /// shares, so each node's scattered slice is exactly what the distribution
 /// says that node should hold (kStaggered, kGGroup etc. are per-node
-/// patterns, not just global shapes).
-std::vector<u32> demo_keys(const Options& opt, const hetero::PerfVector& perf,
-                           u64 n) {
+/// patterns, not just global shapes).  One share is in RAM at a time.
+void push_demo_keys(pdm::BlockWriter<u32>& w, const Options& opt,
+                    const hetero::PerfVector& perf, u64 n) {
   workload::WorkloadSpec spec;
   spec.dist = opt.demo_dist;
   spec.total_records = n;
   spec.node_count = perf.node_count();
   spec.seed = 2026;
-  std::vector<u32> keys;
-  keys.reserve(n);
   for (u32 i = 0; i < perf.node_count(); ++i) {
     const std::vector<DefaultKey> share = workload::generate_share(
         spec, i, perf.share_offset(i, n), perf.share(i, n));
-    keys.insert(keys.end(), share.begin(), share.end());
+    w.push_span(std::span<const u32>(share));
   }
-  return keys;
 }
 
-std::vector<u32> load_keys(const Options& opt) {
-  std::ifstream in(opt.input, std::ios::binary | std::ios::ate);
+/// Opens --input for streaming and returns its key count; exits 1 when it
+/// cannot be read or is not a whole number of keys.
+u64 open_input(const std::string& path, std::ifstream& in) {
+  in.open(path, std::ios::binary | std::ios::ate);
   if (!in) {
-    std::cerr << "cannot open " << opt.input << "\n";
+    std::cerr << "cannot open " << path << "\n";
     std::exit(1);
   }
   const auto bytes = static_cast<u64>(in.tellg());
   if (bytes % sizeof(u32) != 0) {
-    std::cerr << opt.input << " is not a whole number of u32 keys\n";
+    std::cerr << path << " is not a whole number of u32 keys\n";
     std::exit(1);
   }
-  std::vector<u32> keys(bytes / sizeof(u32));
   in.seekg(0);
-  in.read(reinterpret_cast<char*>(keys.data()),
-          static_cast<std::streamsize>(bytes));
-  return keys;
+  return bytes / sizeof(u32);
+}
+
+/// The --output file under construction: a temporary sibling that replaces
+/// the target only on commit() and is removed otherwise.  Creating it up
+/// front makes an unwritable --output fail before any sort work, and
+/// sorting a file in place reads all of the input before the rename.
+class PendingOutput {
+ public:
+  explicit PendingOutput(const std::string& path)
+      : path_(path), tmp_(path + ".partial-" + std::to_string(::getpid())) {
+    if (std::filesystem::is_directory(path_)) {
+      throw std::runtime_error("cannot write " + path_ + ": a directory");
+    }
+    stream_.open(tmp_, std::ios::binary | std::ios::trunc);
+    if (!stream_) throw std::runtime_error("cannot write " + path_);
+  }
+  PendingOutput(const PendingOutput&) = delete;
+  PendingOutput& operator=(const PendingOutput&) = delete;
+  ~PendingOutput() {
+    if (committed_) return;
+    stream_.close();
+    std::error_code ec;  // best effort; never throw from a destructor
+    std::filesystem::remove(tmp_, ec);
+  }
+
+  std::ofstream& stream() { return stream_; }
+
+  /// Completes the temporary file and renames it over the target.
+  void commit() {
+    stream_.close();
+    if (!stream_) throw std::runtime_error("failed writing " + tmp_);
+    std::filesystem::rename(tmp_, path_);
+    committed_ = true;
+  }
+
+ private:
+  std::string path_;
+  std::string tmp_;
+  std::ofstream stream_;
+  bool committed_ = false;
+};
+
+/// What rank 0 saw while streaming the gathered output.
+struct Egress {
+  u64 records = 0;
+  bool sorted = true;
+};
+
+/// Streams the gathered, padded sort output `name` into `out`, keeping its
+/// first `keep` keys (the padding sorts last), and checks global order on
+/// the way.
+Egress stream_egress(pdm::Disk& disk, const std::string& name, u64 keep,
+                     std::ostream& out) {
+  Egress e;
+  u32 last = 0;
+  pdm::read_file_streamed<u32>(disk, name, [&](std::span<const u32> chunk) {
+    e.sorted = e.sorted && (e.records == 0 || last <= chunk.front()) &&
+               std::is_sorted(chunk.begin(), chunk.end());
+    last = chunk.back();
+    const u64 take =
+        std::min<u64>(chunk.size(), keep - std::min(keep, e.records));
+    out.write(reinterpret_cast<const char*>(chunk.data()),
+              static_cast<std::streamsize>(take * sizeof(u32)));
+    e.records += chunk.size();
+  });
+  return e;
 }
 
 // --- sort-as-a-service mode (--jobs) -------------------------------------
@@ -474,21 +541,24 @@ int run_cli(int argc, char** argv) {
     return run_service(opt, config);
   }
 
-  std::vector<u32> keys;
+  // Validate the input and the output before any sort work.
+  std::ifstream input;
   u64 original = 0;
   u64 n = 0;
   if (opt.demo_records > 0) {
     n = perf.round_up_admissible(opt.demo_records);
     original = n;  // every generated key is real data
-    keys = demo_keys(opt, perf, n);
   } else {
-    keys = load_keys(opt);
-    original = keys.size();
-    n = perf.round_up_admissible(original);
+    original = open_input(opt.input, input);
     // Pad to an admissible size with max-keys; they sort to the end and
-    // are trimmed before writing the output.
-    keys.resize(n, std::numeric_limits<u32>::max());
+    // are trimmed from the output.
+    n = perf.round_up_admissible(original);
   }
+  PendingOutput output(opt.output);
+
+  // Node disks are real files: the data need not fit in RAM.
+  const ScopedTempDir scratch("paladin_sort");
+  config.workdir = scratch.path();
 
   std::cout << "sorting " << original << " keys (padded to " << n << ") on "
             << perf.node_count() << " nodes, perf " << perf.to_string()
@@ -506,13 +576,24 @@ int run_cli(int argc, char** argv) {
   net::Cluster cluster(config);
   struct NodeOut {
     core::ParallelSortReport report;
-    std::vector<u32> gathered;  // only at root
+    Egress egress;  // only at root
     bool ok = false;
   };
   auto outcome = cluster.run([&](net::NodeContext& ctx) -> NodeOut {
     NodeOut out;
     if (ctx.rank() == 0) {
-      pdm::write_file<u32>(ctx.disk(), "all.in", std::span<const u32>(keys));
+      const u64 pushed = pdm::write_file_streamed<u32>(
+          ctx.disk(), "all.in", n, std::numeric_limits<u32>::max(),
+          [&](pdm::BlockWriter<u32>& w) {
+            if (opt.demo_records > 0) {
+              push_demo_keys(w, opt, perf, n);
+            } else {
+              pdm::push_stream(w, input);
+            }
+          });
+      if (pushed != original) {
+        throw std::runtime_error(opt.input + " changed while being read");
+      }
     }
     core::scatter_shares<u32>(ctx, perf, "all.in", "input", 0,
                               opt.message_records);
@@ -535,7 +616,8 @@ int run_cli(int argc, char** argv) {
 
     core::collect_sorted_output<u32>(ctx, psc, out.report, "all.out", 0);
     if (ctx.rank() == 0) {
-      out.gathered = pdm::read_file<u32>(ctx.disk(), "all.out");
+      out.egress =
+          stream_egress(ctx.disk(), "all.out", original, output.stream());
     }
     return out;
   });
@@ -575,15 +657,17 @@ int run_cli(int argc, char** argv) {
             << metrics::sublist_expansion(std::span<const u64>(finals), perf)
             << "\n";
 
-  std::vector<u32>& sorted = outcome.results[0].gathered;
-  if (!std::is_sorted(sorted.begin(), sorted.end())) {
+  const Egress& egress = outcome.results[0].egress;
+  if (egress.records != n) {
+    std::cerr << "gathered output holds " << egress.records
+              << " keys, expected " << n << "\n";
+    return 1;
+  }
+  if (!egress.sorted) {
     std::cerr << "gathered output is not globally sorted\n";
     return 1;
   }
-  sorted.resize(original);  // trim the padding
-  std::ofstream out_file(opt.output, std::ios::binary | std::ios::trunc);
-  out_file.write(reinterpret_cast<const char*>(sorted.data()),
-                 static_cast<std::streamsize>(sorted.size() * sizeof(u32)));
+  output.commit();
   std::cout << "wrote " << original << " sorted keys to " << opt.output
             << "\n";
   return 0;

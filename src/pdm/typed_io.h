@@ -20,8 +20,10 @@
 
 #include <algorithm>
 #include <cstring>
+#include <istream>
 #include <memory>
 #include <span>
+#include <stdexcept>
 #include <vector>
 
 #include "base/contracts.h"
@@ -522,6 +524,74 @@ std::vector<T> read_file(Disk& disk, const std::string& name) {
   const u64 got = r.read_span(std::span<T>(out));
   PALADIN_ENSURES(got == out.size());
   return out;
+}
+
+/// Host-side chunk of the streaming helpers below: how many records
+/// (about 1 MiB) of a host stream or of padding they hold in RAM at a time.
+template <Record T>
+inline constexpr u64 kStreamChunkRecords =
+    std::max<u64>(1, (u64{1} << 20) / sizeof(T));
+
+/// Pushes the whole records of binary stream `in` into `w` until EOF,
+/// one bounded chunk at a time.  Returns the records pushed; throws if the
+/// stream fails or ends inside a record.
+template <Record T>
+u64 push_stream(BlockWriter<T>& w, std::istream& in) {
+  std::vector<T> chunk(kStreamChunkRecords<T>);
+  const auto chunk_bytes =
+      static_cast<std::streamsize>(chunk.size() * sizeof(T));
+  u64 pushed = 0;
+  while (in) {
+    in.read(reinterpret_cast<char*>(chunk.data()), chunk_bytes);
+    const auto got = static_cast<u64>(in.gcount());
+    if (got % sizeof(T) != 0) {
+      throw std::runtime_error("input ends inside a record");
+    }
+    w.push_span(std::span<const T>(chunk.data(), got / sizeof(T)));
+    pushed += got / sizeof(T);
+  }
+  if (in.bad()) throw std::runtime_error("input read failed");
+  return pushed;
+}
+
+/// Streamed write_file for data that does not fit in RAM: creates `name`,
+/// lets `fill(writer)` push the records, then pads the file with copies of
+/// `pad` up to `total` records.  Returns the records `fill` pushed.  Every
+/// transfer but the last is one whole record-block either way, so block
+/// counts, bytes and cost-sink charges equal write_file of the padded span.
+template <Record T, class Fill>
+u64 write_file_streamed(Disk& disk, const std::string& name, u64 total,
+                        const T& pad, Fill&& fill) {
+  BlockFile f = disk.create(name);
+  BlockWriter<T> w(f);
+  fill(w);
+  const u64 pushed = w.records_written();
+  PALADIN_EXPECTS_MSG(pushed <= total, "more records than the file holds");
+  const std::vector<T> padding(
+      std::min(total - pushed, kStreamChunkRecords<T>), pad);
+  for (u64 left = total - pushed; left > 0;) {
+    const u64 take = std::min<u64>(left, padding.size());
+    w.push_span(std::span<const T>(padding.data(), take));
+    left -= take;
+  }
+  w.flush();
+  return pushed;
+}
+
+/// Streamed read_file: hands `sink` every record of `name` in order, one
+/// block-buffered span at a time, and returns the record count.  Every
+/// block is read once, as read_file reads it, so block counts, bytes and
+/// cost-sink charges are equal.
+template <Record T, class Sink>
+u64 read_file_streamed(Disk& disk, const std::string& name, Sink&& sink) {
+  BlockFile f = disk.open(name);
+  BlockReader<T> r(f);
+  for (std::span<const T> chunk = r.buffered(); !chunk.empty();
+       chunk = r.buffered()) {
+    sink(chunk);
+    r.advance_n(chunk.size());
+  }
+  return r.size_records();
 }
 
 }  // namespace paladin::pdm

@@ -2,7 +2,9 @@
 // typed buffered I/O, striped volumes and the PDM bound arithmetic.
 #include <gtest/gtest.h>
 
+#include <deque>
 #include <numeric>
+#include <sstream>
 
 #include "base/rng.h"
 #include "base/temp_dir.h"
@@ -201,6 +203,111 @@ TEST(TypedIo, LargeRecordsSpanningBlocks) {
   while (r.next(v)) EXPECT_EQ(v.a, i++);
   EXPECT_EQ(i, 10u);
 }
+
+// ---------------------------------------------------------------------
+// Streamed import/export: the same charges as write_file/read_file
+// ---------------------------------------------------------------------
+
+// true = posix disk with overlapped I/O (read-ahead, write-behind), so the
+// sanitizer presets exercise the executor under the streaming helpers.
+class StreamedIoTest : public ::testing::TestWithParam<bool> {
+ protected:
+  /// One disk per side; each charges its own cost-sink total.
+  Disk make_disk(double& charged) {
+    DiskParams params = tiny_blocks();
+    Disk disk = Disk::in_memory(params);
+    if (GetParam()) {
+      params.io_mode = IoMode::kOverlapped;
+      disk = Disk::posix(dirs_.emplace_back("pdm-stream").path(), params);
+    }
+    disk.set_cost_sink([&charged](double s) { charged += s; });
+    return disk;
+  }
+  std::deque<ScopedTempDir> dirs_;
+};
+
+void expect_same_stats(const IoStats& got, const IoStats& want) {
+  EXPECT_EQ(got.blocks_read, want.blocks_read);
+  EXPECT_EQ(got.blocks_written, want.blocks_written);
+  EXPECT_EQ(got.bytes_read, want.bytes_read);
+  EXPECT_EQ(got.bytes_written, want.bytes_written);
+  EXPECT_EQ(got.files_created, want.files_created);
+  EXPECT_EQ(got.files_removed, want.files_removed);
+}
+
+TEST_P(StreamedIoTest, ImportAndExportChargeLikeWholeFileIo) {
+  constexpr u64 kB = 16;  // u32 records per 64-byte block
+  constexpr u32 kPad = 0xFFFFFFFFu;
+  for (const u64 size : {u64{0}, u64{1}, kB - 1, kB, kB + 1, 64 * kB + 3}) {
+    for (const u64 padding : {u64{0}, u64{5}}) {
+      SCOPED_TRACE("size " + std::to_string(size) + " padding " +
+                   std::to_string(padding));
+      Xoshiro256 rng(size * 31 + padding);
+      std::vector<u32> data(size);
+      for (u32& v : data) v = static_cast<u32>(rng.next());
+      std::vector<u32> padded = data;
+      padded.resize(size + padding, kPad);
+      const std::string bytes(reinterpret_cast<const char*>(padded.data()),
+                              padded.size() * sizeof(u32));
+
+      double whole_s = 0;
+      Disk whole = make_disk(whole_s);
+      write_file<u32>(whole, "f", std::span<const u32>(padded));
+      const IoStats whole_written = whole.stats();
+      const double whole_written_s = whole_s;
+      EXPECT_EQ(read_file<u32>(whole, "f"), padded);
+
+      // A host stream in, uneven pushes (as --demo's per-node shares
+      // arrive), and a host stream out: all charge alike.
+      for (const bool from_stream : {true, false}) {
+        SCOPED_TRACE(from_stream ? "istream" : "uneven pushes");
+        double streamed_s = 0;
+        Disk streamed = make_disk(streamed_s);
+        std::istringstream in(bytes.substr(0, size * sizeof(u32)));
+        const u64 pushed = write_file_streamed<u32>(
+            streamed, "f", size + padding, kPad, [&](BlockWriter<u32>& w) {
+              if (from_stream) {
+                EXPECT_EQ(push_stream(w, in), size);
+                return;
+              }
+              for (u64 at = 0; at < size; at += 7) {
+                w.push_span(std::span<const u32>(data).subspan(
+                    at, std::min<u64>(7, size - at)));
+              }
+            });
+        EXPECT_EQ(pushed, size);
+        expect_same_stats(streamed.stats(), whole_written);
+        EXPECT_EQ(streamed_s, whole_written_s);
+
+        std::ostringstream out;
+        const u64 exported = read_file_streamed<u32>(
+            streamed, "f", [&](std::span<const u32> chunk) {
+              out.write(reinterpret_cast<const char*>(chunk.data()),
+                        static_cast<std::streamsize>(chunk.size_bytes()));
+            });
+        EXPECT_EQ(exported, size + padding);
+        EXPECT_EQ(out.str(), bytes);
+        expect_same_stats(streamed.stats(), whole.stats());
+        EXPECT_EQ(streamed_s, whole_s);
+      }
+    }
+  }
+}
+
+TEST_P(StreamedIoTest, PushStreamRejectsATornRecord) {
+  double charged = 0;
+  Disk disk = make_disk(charged);
+  std::istringstream in(std::string(4 * sizeof(u32) + 2, 'x'));
+  auto fill = [&](BlockWriter<u32>& w) { push_stream(w, in); };
+  EXPECT_THROW(write_file_streamed<u32>(disk, "f", 8, 0u, fill),
+               std::runtime_error);
+}
+
+INSTANTIATE_TEST_SUITE_P(MemAndOverlappedPosix, StreamedIoTest,
+                         ::testing::Bool(),
+                         [](const auto& info) {
+                           return info.param ? "OverlappedPosix" : "Mem";
+                         });
 
 // ---------------------------------------------------------------------
 // StripedVolume (PDM D > 1)

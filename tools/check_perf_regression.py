@@ -6,6 +6,7 @@ Usage:
   check_perf_regression.py --splitters NEW_JSON BASELINE_JSON [--threshold=0.20]
   check_perf_regression.py --service NEW_JSON BASELINE_JSON [--threshold=0.20]
   check_perf_regression.py --drift NEW_JSON BASELINE_JSON [--threshold=0.20]
+  check_perf_regression.py --backends NEW_JSON BASELINE_JSON [--threshold=0.20]
 
 Default mode compares the merge rows (kernel name containing "merge") of a
 freshly generated bench_results/BENCH_hotpaths.json against the committed
@@ -26,6 +27,12 @@ outright (the bench's own >= 2x recovery assertion did not hold), a
 recovery_factor drop beyond the threshold fails (the adaptive layer
 recovers a smaller share of the drift damage than it used to), and an
 adaptive-row makespan rise beyond the threshold fails.
+
+--backends compares bench_results/BENCH_backends.json rows keyed by
+(backend, scenario): sorted=false or conserved=false fails outright, and —
+since every cell runs on the deterministic virtual clock — a makespan_s
+change beyond the threshold in either direction, or an expansion change
+beyond 0.05, fails as a logic change.
 
 In all modes rows present on only one side are reported but never fail
 the gate (new rows appear, retired ones vanish), and older baselines
@@ -277,12 +284,72 @@ def check_drift(new_path, base_path, threshold):
     return 0
 
 
+def load_backend_rows(path):
+    rows = {}
+    for row in load_doc(path).get("rows", []):
+        rows[(row["backend"], row["scenario"])] = row
+    return rows
+
+
+def check_backends(new_path, base_path, threshold):
+    new_rows = load_backend_rows(new_path)
+    base_rows = load_backend_rows(base_path)
+
+    failures = []
+    compared = 0
+    for key, base in sorted(base_rows.items()):
+        label = f"{key[0]}/{key[1]}"
+        new = new_rows.get(key)
+        if new is None:
+            print(f"note: {label} missing from new results; skipped")
+            continue
+        compared += 1
+        for flag in ("sorted", "conserved"):
+            if not new.get(flag, False):
+                print(f"REGRESSION  {label:<34} {flag}=false")
+                failures.append(key)
+        old_mk = base["makespan_s"]
+        new_mk = new["makespan_s"]
+        ratio = new_mk / old_mk if old_mk > 0 else float("inf")
+        status = "ok"
+        # Virtual time is deterministic: a move either way is a logic
+        # change, not noise.
+        if abs(ratio - 1.0) > threshold:
+            status = "CHANGED"
+            failures.append(key)
+        print(f"{status:>10}  {label:<34} "
+              f"{old_mk:10.6f} -> {new_mk:10.6f} s ({ratio - 1.0:+.1%})")
+        drift = abs(base["expansion"] - new["expansion"])
+        if drift > EXPANSION_TOLERANCE:
+            print(f"            expansion drift: {base['expansion']} -> "
+                  f"{new['expansion']}")
+            failures.append(key)
+
+    for key in sorted(set(new_rows) - set(base_rows)):
+        print(f"note: new row {key[0]}/{key[1]} has no baseline; skipped")
+
+    if compared == 0:
+        print("error: no backend rows in common — wrong files?",
+              file=sys.stderr)
+        return 2
+    if failures:
+        print(f"\nFAIL: {len(set(failures))} backend row(s) unverified, or "
+              f"moved more than {threshold:.0%} in makespan (or "
+              f"{EXPANSION_TOLERANCE} in expansion) vs the committed "
+              f"baseline")
+        return 1
+    print(f"\nOK: {compared} backend rows verified and within "
+          f"{threshold:.0%} of baseline")
+    return 0
+
+
 def main(argv):
     args = [a for a in argv[1:] if not a.startswith("--")]
     threshold = 0.20
     splitters = "--splitters" in argv[1:]
     service = "--service" in argv[1:]
     drift = "--drift" in argv[1:]
+    backends = "--backends" in argv[1:]
     for a in argv[1:]:
         if a.startswith("--threshold="):
             threshold = float(a.split("=", 1)[1])
@@ -296,6 +363,8 @@ def main(argv):
         return check_service(args[0], args[1], threshold)
     if drift:
         return check_drift(args[0], args[1], threshold)
+    if backends:
+        return check_backends(args[0], args[1], threshold)
     return check_merge(args[0], args[1], threshold)
 
 
