@@ -12,6 +12,7 @@
 
 #include <cstdlib>
 #include <fstream>
+#include <functional>
 #include <sstream>
 #include <string>
 
@@ -127,21 +128,41 @@ ClusterTrace golden_drift_run() {
   return trace;
 }
 
-/// A pinned p=3 run of `algorithm` through parallel_external_sort, sized
-/// so every exchange pair moves more chunks than the credit window holds
-/// and the multiway backend forms several runs per node.  PSRS runs phased (the
-/// pipelined path is pinned by golden_run above).
-ClusterTrace golden_exchange_run(core::ParallelSortAlgorithm algorithm,
-                                 const std::string& fixture) {
-  const std::vector<u32> perf_values = {2, 1, 1};
+/// Tweaks a pinned run's cluster and sort configs before it starts.
+using GoldenTweak =
+    std::function<void(net::ClusterConfig&, core::ParallelSortConfig&)>;
+
+std::string perf_string(const std::vector<u32>& perf_values) {
+  std::string out;
+  for (const u32 v : perf_values) {
+    if (!out.empty()) out += ",";
+    out += std::to_string(v);
+  }
+  return out;
+}
+
+/// A pinned run of `algorithm` through parallel_external_sort on
+/// `perf_values`, observed, with `tweak` applied to the defaults below.
+ClusterTrace golden_sort_run(core::ParallelSortAlgorithm algorithm,
+                             const std::vector<u32>& perf_values, u64 k,
+                             const std::string& fixture,
+                             const GoldenTweak& tweak) {
   hetero::PerfVector perf(perf_values);
-  const u64 n = perf.admissible_size(400);
+  const u64 n = perf.admissible_size(k);
 
   net::ClusterConfig config;
   config.perf = perf_values;
   config.disk = test_params::tiny_blocks();
   config.seed = 4321;
   config.observe = true;
+
+  core::ParallelSortConfig sort;
+  sort.algorithm = algorithm;
+  sort.sequential.memory_records = test_params::kMemoryRecords;
+  sort.sequential.tape_count = test_params::kTapeCount;
+  sort.sequential.allow_in_memory = false;
+  sort.message_records = test_params::kMessageRecords;
+  tweak(config, sort);
   net::Cluster cluster(config);
 
   workload::WorkloadSpec spec;
@@ -153,22 +174,66 @@ ClusterTrace golden_exchange_run(core::ParallelSortAlgorithm algorithm,
   auto outcome = cluster.run([&](net::NodeContext& ctx) -> int {
     workload::write_share(spec, ctx.rank(), perf.share_offset(ctx.rank(), n),
                           perf.share(ctx.rank(), n), ctx.disk(), "input");
-    core::ParallelSortConfig sort;
-    sort.algorithm = algorithm;
-    sort.sequential.memory_records = test_params::kMemoryRecords;
-    sort.sequential.tape_count = test_params::kTapeCount;
-    sort.sequential.allow_in_memory = false;
-    sort.message_records = test_params::kMessageRecords;
-    sort.psrs.pipelined = false;
     core::parallel_external_sort<DefaultKey>(ctx, perf, sort);
     return 0;
   });
 
   ClusterTrace trace = core::collect_cluster_trace(outcome);
   trace.set_meta("algorithm", core::to_string(algorithm));
-  trace.set_meta("perf", "2,1,1");
+  trace.set_meta("perf", perf_string(perf_values));
+  if (config.drift_plan.active()) {
+    trace.set_meta("drift", hetero::drift_plan_to_string(config.drift_plan));
+  }
   trace.set_meta("fixture", "tests/golden/" + fixture);
   return trace;
+}
+
+/// A pinned p=3 run of `algorithm`, sized so every exchange pair moves
+/// more chunks than the credit window holds and the multiway backend forms
+/// several runs per node.  PSRS runs phased (the pipelined path is pinned
+/// by golden_run above).
+ClusterTrace golden_exchange_run(core::ParallelSortAlgorithm algorithm,
+                                 const std::string& fixture) {
+  return golden_sort_run(
+      algorithm, {2, 1, 1}, 400, fixture,
+      [](net::ClusterConfig&, core::ParallelSortConfig& sort) {
+        sort.psrs.pipelined = false;
+      });
+}
+
+/// A pinned p=4 run that forces the multi-level splitter tree with fanout
+/// 2 (two levels): PSRS sends its regular ranks through the tree, multiway
+/// its perf-share cuts in unique-value space, overpartitioning its p·s−1
+/// uniform cuts.
+ClusterTrace golden_tree_run(core::ParallelSortAlgorithm algorithm,
+                             const std::string& fixture) {
+  return golden_sort_run(
+      algorithm, {2, 1, 1, 1}, 200, fixture,
+      [](net::ClusterConfig&, core::ParallelSortConfig& sort) {
+        sort.splitter.strategy = core::SplitterStrategy::kTree;
+        sort.splitter.fanout = 2;
+      });
+}
+
+/// A pinned p=3 adaptive run under a forced 4× slowdown of rank 0 from the
+/// first epoch on: the speed probe sees it, the blended weights clear the
+/// deadband (drift.adapt.applied = 1), and the splitters are cut at the
+/// weight quantiles.  PSRS runs phased.
+ClusterTrace golden_adaptive_run(core::ParallelSortAlgorithm algorithm,
+                                 const std::string& fixture) {
+  return golden_sort_run(
+      algorithm, {2, 1, 1}, 400, fixture,
+      [](net::ClusterConfig& config, core::ParallelSortConfig& sort) {
+        config.drift_plan.seed = 5;
+        config.drift_plan.spec.epoch_seconds = 0.05;
+        hetero::ForcedSlowdown forced;
+        forced.rank = 0;
+        forced.from_epoch = 0;
+        forced.factor = 4.0;
+        config.drift_plan.forced.push_back(forced);
+        sort.adaptive.enabled = true;
+        sort.psrs.pipelined = false;
+      });
 }
 
 std::string read_file_or_empty(const std::string& path) {
@@ -248,6 +313,43 @@ TEST(ObsGolden, DistributionRunReportMatchesFixtureByteExact) {
   const ClusterTrace trace = golden_exchange_run(
       core::ParallelSortAlgorithm::kExtDistribution, "obs_distribution");
   check_against_golden(run_report_json(trace), "obs_distribution.report.json");
+}
+
+TEST(ObsGolden, TreePsrsRunReportMatchesFixtureByteExact) {
+  const ClusterTrace trace = golden_tree_run(
+      core::ParallelSortAlgorithm::kExtPsrs, "obs_tree_psrs");
+  check_against_golden(run_report_json(trace), "obs_tree_psrs.report.json");
+}
+
+TEST(ObsGolden, TreeMultiwayRunReportMatchesFixtureByteExact) {
+  const ClusterTrace trace = golden_tree_run(
+      core::ParallelSortAlgorithm::kExtMultiway, "obs_tree_multiway");
+  check_against_golden(run_report_json(trace),
+                       "obs_tree_multiway.report.json");
+}
+
+TEST(ObsGolden, TreeOverpartitionRunReportMatchesFixtureByteExact) {
+  const ClusterTrace trace = golden_tree_run(
+      core::ParallelSortAlgorithm::kExtOverpartition,
+      "obs_tree_overpartition");
+  check_against_golden(run_report_json(trace),
+                       "obs_tree_overpartition.report.json");
+}
+
+TEST(ObsGolden, AdaptivePsrsRunReportMatchesFixtureByteExact) {
+  if (!hetero::kDriftCompiledIn) GTEST_SKIP() << "drift layer compiled out";
+  const ClusterTrace trace = golden_adaptive_run(
+      core::ParallelSortAlgorithm::kExtPsrs, "obs_adaptive_psrs");
+  check_against_golden(run_report_json(trace),
+                       "obs_adaptive_psrs.report.json");
+}
+
+TEST(ObsGolden, AdaptiveMultiwayRunReportMatchesFixtureByteExact) {
+  if (!hetero::kDriftCompiledIn) GTEST_SKIP() << "drift layer compiled out";
+  const ClusterTrace trace = golden_adaptive_run(
+      core::ParallelSortAlgorithm::kExtMultiway, "obs_adaptive_multiway");
+  check_against_golden(run_report_json(trace),
+                       "obs_adaptive_multiway.report.json");
 }
 
 TEST(ObsGolden, TwoCollectionsOfTheSameRunSerialiseIdentically) {

@@ -3,7 +3,11 @@
 # the drift-free obs_run.{trace,report}.json pair, the drifted-run
 # obs_drift.report.json and the p=3 exchange-path reports
 # obs_phased.report.json (phased ext-psrs), obs_multiway.report.json and
-# obs_distribution.report.json — by running the test_obs_golden binary with
+# obs_distribution.report.json, the p=4 splitter-tree reports
+# obs_tree_psrs.report.json, obs_tree_multiway.report.json and
+# obs_tree_overpartition.report.json, and the adaptive (weighted-cut)
+# reports obs_adaptive_psrs.report.json and
+# obs_adaptive_multiway.report.json — by running the test_obs_golden binary with
 # PALADIN_REGEN_GOLDEN=1, which makes the byte-exact tests rewrite their
 # fixtures in place instead of comparing.  Run after an intentional
 # exporter/trace change, then review and commit the fixture diff (a
