@@ -36,14 +36,12 @@
 
 namespace paladin::core {
 
-/// Knobs specific to this backend (the common core is BackendConfig).
-struct ExtDistributionOptions {
-  /// Random samples drawn per unit of perf (node i draws
-  /// oversample·p·perf[i]).
-  u32 oversample = 16;
-};
+/// Random samples drawn per unit of perf (node i draws
+/// kDistributionOversample·p·perf[i]).
+inline constexpr u64 kDistributionOversample = 16;
 
-struct ExtDistributionConfig : BackendConfig, ExtDistributionOptions {};
+/// The backend has no knobs of its own; the common core is BackendConfig.
+struct ExtDistributionConfig : BackendConfig {};
 
 struct ExtDistributionReport : BackendReport {};
 
@@ -76,16 +74,16 @@ ExtDistributionReport ext_distribution_sort(
   }
 
   // ---- 1. Probabilistic splitting -------------------------------------
-  const u64 want = std::min<u64>(
-      report.local_records,
-      static_cast<u64>(config.oversample) * p * perf[rank]);
+  const u64 want = std::min<u64>(report.local_records,
+                                 kDistributionOversample * p * perf[rank]);
   // At large p, BackendConfig::splitter can route this through the
   // multi-level sample tree (core/splitter_tree.h) instead of the flat
   // gather-and-sort at node 0.
-  std::vector<T> pivots = select_sample_splitters<T, Less>(
-      bc, draw_random_sample<T>(ctx, config.input, want), p - 1, &perf,
-      /*unique_splitters=*/false, /*root=*/0, less,
-      adapt_weights.empty() ? nullptr : &adapt_weights);
+  std::vector<T> pivots = select_splitters<T, Less>(
+      ctx, config.splitter,
+      adapt_weights.empty() ? SplitterCut::perf_shares(perf)
+                            : SplitterCut::weighted(adapt_weights),
+      draw_random_sample<T>(ctx, config.input, want), /*root=*/0, less);
 
   // ---- 2. Stream + route into p bucket files --------------------------
   const std::string part_prefix = config.output + ".dist";

@@ -12,7 +12,7 @@
 //            input perf-proportionally; a designated node sorts the pooled
 //            sample and broadcasts p−1 perf-weighted cut keys (with the
 //            Axtmann–Sanders duplicate-robust dedup, see
-//            select_sample_splitters);
+//            core/splitter_tree.h's select_splitters);
 //   Phase 3  one redistribution — every run is cut at the splitters by
 //            binary search *in the runs file* (no partition copy on disk),
 //            and the run pieces travel to their owners through the
@@ -49,27 +49,21 @@
 
 namespace paladin::core {
 
-/// Knobs specific to this backend (the common core is BackendConfig).
-struct ExtMultiwayOptions {
-  /// Random samples drawn per unit of perf (node i draws
-  /// oversample·p·perf[i], clamped to its share).  Larger than the
-  /// distribution sort's default: splitters here are final — there is no
-  /// per-owner full sort afterwards to absorb imbalance.
-  u32 oversample = 32;
-  /// Node that sorts the pooled sample and broadcasts the splitters.
-  u32 designated_node = 0;
-  /// Deduplicate the sorted sample before cutting (Axtmann–Sanders robust
-  /// splitter selection).  Keeps heavy duplicate mass from collapsing
-  /// several splitters onto one key; see select_sample_splitters.  On the
-  /// tree path (BackendConfig::splitter) the dedup runs per level in
-  /// unique-value space — core/splitter_tree.h's merge_equal mode.
-  bool unique_splitters = true;
-};
+/// Random samples drawn per unit of perf (node i draws
+/// kMultiwayOversample·p·perf[i], clamped to its share).  Larger than the
+/// distribution sort's: splitters here are final — there is no per-owner
+/// full sort afterwards to absorb imbalance.  Node 0 pools the sample and
+/// cuts the splitters in unique-value space (SplitterCut::dedup, the
+/// Axtmann–Sanders robust selection), so heavy duplicate mass cannot
+/// collapse several splitters onto one key; on the tree path the dedup
+/// runs per level — core/splitter_tree.h's merge_equal mode.
+inline constexpr u64 kMultiwayOversample = 32;
 
 /// Wire tags and counter prefix of the run-piece exchange.
 inline constexpr ExchangeChannel kMultiwayChannel{70, 71, 72, "multiway"};
 
-struct ExtMultiwayConfig : BackendConfig, ExtMultiwayOptions {};
+/// The backend has no knobs of its own; the common core is BackendConfig.
+struct ExtMultiwayConfig : BackendConfig {};
 
 struct ExtMultiwayReport : BackendReport {
   u64 initial_runs = 0;         ///< sorted runs after Phase 1
@@ -132,7 +126,6 @@ ExtMultiwayReport ext_multiway_sort(net::NodeContext& ctx,
                                     const ExtMultiwayConfig& config,
                                     Less less = {}) {
   PALADIN_EXPECTS(perf.node_count() == ctx.node_count());
-  PALADIN_EXPECTS(config.designated_node < ctx.node_count());
   const u32 p = ctx.node_count();
   const u32 rank = ctx.rank();
 
@@ -193,8 +186,7 @@ ExtMultiwayReport ext_multiway_sort(net::NodeContext& ctx,
   if (config.adaptive.enabled) {
     obs::ScopedSpan span(tr, "multiway.adapt", "drift");
     const AdaptiveOutcome ad =
-        adaptive_reestimate(bc, config.adaptive, report.local_records,
-                            config.designated_node);
+        adaptive_reestimate(bc, config.adaptive, report.local_records, 0);
     if (ad.applied) adapt_weights = ad.weights;
   }
 
@@ -203,16 +195,17 @@ ExtMultiwayReport ext_multiway_sort(net::NodeContext& ctx,
   {
     Phase phase(bc, "multiway", "phase2.splitters", report.t_splitters,
                 &report.io_splitters);
-    const u64 want = std::min<u64>(
-        report.local_records,
-        static_cast<u64>(config.oversample) * p * perf[rank]);
+    const u64 want = std::min<u64>(report.local_records,
+                                   kMultiwayOversample * p * perf[rank]);
     std::vector<T> sample =
         draw_random_sample<T>(ctx, config.input, want);
     report.samples_contributed = sample.size();
-    splitters = select_sample_splitters<T, Less>(
-        bc, std::move(sample), p - 1, &perf, config.unique_splitters,
-        config.designated_node, less,
-        adapt_weights.empty() ? nullptr : &adapt_weights);
+    splitters = select_splitters<T, Less>(
+        ctx, config.splitter,
+        adapt_weights.empty()
+            ? SplitterCut::perf_shares(perf, /*dedup=*/true)
+            : SplitterCut::weighted(adapt_weights, /*dedup=*/true),
+        std::move(sample), /*root=*/0, less);
     phase.arg("samples", report.samples_contributed);
     phase.counter("samples", report.samples_contributed);
   }

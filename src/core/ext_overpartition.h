@@ -39,8 +39,6 @@ namespace paladin::core {
 struct ExtOverpartitionOptions {
   /// Overpartitioning factor: p·s buckets.
   u32 s = 4;
-  /// Candidate pivots sampled per bucket.
-  u32 oversample = 8;
 };
 
 struct ExtOverpartitionConfig : BackendConfig, ExtOverpartitionOptions {};
@@ -73,13 +71,13 @@ ExtOverpartitionReport ext_overpartition_sort(
   // what the LPT schedule below consumes; perf enters at assignment time.
   const u64 want = std::min<u64>(
       report.local_records,
-      static_cast<u64>(config.s) * config.oversample);
+      static_cast<u64>(config.s) * kOverpartitionOversample);
   // Selection strategy (flat vs the core/splitter_tree.h tree) comes from
   // BackendConfig::splitter; with s·p buckets the sample volume here grows
   // even faster with p than PSRS Step 2, so the tree pays off sooner.
-  std::vector<T> pivots = select_sample_splitters<T, Less>(
-      bc, draw_random_sample<T>(ctx, config.input, want), buckets - 1,
-      /*perf=*/nullptr, /*unique_splitters=*/false, /*root=*/0, less);
+  std::vector<T> pivots = select_splitters<T, Less>(
+      ctx, config.splitter, SplitterCut::uniform(buckets - 1),
+      draw_random_sample<T>(ctx, config.input, want), /*root=*/0, less);
 
   // ---- 2. One streaming pass into p·s bucket files ---------------------
   const auto local_bucket = [&](u64 b) {

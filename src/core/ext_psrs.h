@@ -5,7 +5,7 @@
 //   Step 1  sequential external sort of the node's share (polyphase);
 //   Step 2  regular sampling of the sorted file; a designated node sorts
 //           the p·Σperf − p samples and broadcasts the p−1 perf-weighted
-//           pivots;
+//           pivots (core/splitter_tree.h's select_splitters);
 //   Step 3  streaming partition of the sorted file into p sub-files;
 //   Step 4  redistribution — partition j travels to node j in
 //           block-multiple messages;
@@ -162,67 +162,48 @@ ExtPsrsReport ext_psrs_sort(net::NodeContext& ctx,
   {
     Phase step(bc, "psrs", "step2.sampling", report.t_sampling,
                &report.io_sampling, /*blocks_arg=*/false);
-    if (adapt_weights.empty() && splitter_uses_tree(config.splitter, p)) {
-      // Multi-level path (core/splitter_tree.h): densified leaf sample,
-      // group-tree digest reduction, flat pivot formulas at the root.
-      const u64 o_total =
-          config.sampling_oversample * config.splitter.tree_oversample;
-      const u64 off = perf.sample_stride_clamped(n, o_total);
-      std::vector<T> samples;
-      {
-        pdm::BlockFile f = ctx.disk().open(sorted_local);
-        pdm::BlockReader<T> reader(f);
-        samples = draw_regular_sample<T>(reader, off);
-      }
-      report.samples_contributed = samples.size();
-      pivots = tree_select_pivots<T, Less>(ctx, perf, std::move(samples),
-                                           o_total, config.splitter,
-                                           config.designated_node, less);
+    // Static: the paper's regular sample at the perf-weighted regular
+    // ranks, densified and tree-reduced at cluster scale
+    // (core/splitter_tree.h).  Adaptive: once weights apply, densify the
+    // regular sample — the oversample-1 sample only offers cut points at
+    // the static perf quantiles, which quantises a weighted cut like 1/13
+    // back to ~1/p and leaves the re-split a no-op
+    // (hetero::AdaptiveConfig::resample_oversample) — and cut it at the
+    // weight quantiles.
+    RegularSampling sampling;
+    SplitterCut cut;
+    if (adapt_weights.empty()) {
+      sampling = regular_sampling(config.splitter, perf, n,
+                                  config.sampling_oversample);
+      cut = SplitterCut::regular(perf, sampling.oversample);
     } else {
-      // Once weights apply, densify the regular sample: the oversample-1
-      // sample only offers cut points at the static perf quantiles, which
-      // quantises a weighted cut like 1/13 back to ~1/p and leaves the
-      // re-split a no-op (hetero::AdaptiveConfig::resample_oversample).
-      u64 oversample = config.sampling_oversample;
-      if (!adapt_weights.empty()) {
-        const u64 cap =
-            std::max<u64>(n / (perf.sum() * static_cast<u64>(p)), 1);
-        oversample = std::min(
-            std::max(oversample, config.adaptive.resample_oversample),
-            std::max(cap, oversample));
-      }
-      const u64 off = perf.sample_stride(n, oversample);
-      std::vector<T> samples;
-      {
-        pdm::BlockFile f = ctx.disk().open(sorted_local);
-        pdm::BlockReader<T> reader(f);
-        // The densified draw streams the file once instead of seeking per
-        // sample; the static draw keeps the paper's seek pattern exactly.
-        samples = adapt_weights.empty()
-                      ? draw_regular_sample<T>(reader, off)
-                      : draw_regular_sample_streamed<T>(reader, off);
-      }
-      PALADIN_ASSERT(samples.size() ==
-                     perf.sample_count(rank, n, oversample));
-      report.samples_contributed = samples.size();
-
-      std::vector<T> gathered = comm.template gather_records<T>(
-          std::span<const T>(samples), config.designated_node);
-      if (rank == config.designated_node) {
-        // Adaptive weights replace the static perf quantiles; the tree
-        // path is bypassed under adaptation (its digests reduce integer
-        // perf masses only — see docs/ALGORITHM.md §Adaptive re-split).
-        pivots = adapt_weights.empty()
-                     ? select_pivots<T, Less>(gathered, perf, ctx, less,
-                                              config.sampling_oversample)
-                     : select_weighted_pivots<T, Less>(gathered,
-                                                       adapt_weights, ctx,
-                                                       less);
-      }
-      pivots = comm.template bcast_records<T>(std::move(pivots),
-                                              config.designated_node);
-      PALADIN_ASSERT(pivots.size() == p - 1);
+      const u64 cap =
+          std::max<u64>(n / (perf.sum() * static_cast<u64>(p)), 1);
+      const u64 oversample = std::min(
+          std::max(config.sampling_oversample,
+                   config.adaptive.resample_oversample),
+          std::max(cap, config.sampling_oversample));
+      sampling = {false, oversample, perf.sample_stride(n, oversample)};
+      cut = SplitterCut::weighted(adapt_weights);
     }
+    std::vector<T> samples;
+    {
+      pdm::BlockFile f = ctx.disk().open(sorted_local);
+      pdm::BlockReader<T> reader(f);
+      // The densified draw streams the file once instead of seeking per
+      // sample; the static draw keeps the paper's seek pattern exactly.
+      samples = adapt_weights.empty()
+                    ? draw_regular_sample<T>(reader, sampling.stride)
+                    : draw_regular_sample_streamed<T>(reader, sampling.stride);
+    }
+    if (!sampling.tree) {
+      PALADIN_ASSERT(samples.size() ==
+                     perf.sample_count(rank, n, sampling.oversample));
+    }
+    report.samples_contributed = samples.size();
+    pivots = select_splitters<T, Less>(ctx, config.splitter, cut,
+                                       std::move(samples),
+                                       config.designated_node, less);
     step.counter("samples", report.samples_contributed);
   }
 

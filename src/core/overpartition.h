@@ -21,18 +21,19 @@
 #include "base/contracts.h"
 #include "base/rng.h"
 #include "base/types.h"
-#include "core/sampling.h"
+#include "core/splitter_tree.h"
 #include "hetero/perf_vector.h"
 #include "net/cluster.h"
 #include "seq/counting.h"
 
 namespace paladin::core {
 
+/// Oversampling: candidate pivots drawn per sublist (in-core and external).
+inline constexpr u64 kOverpartitionOversample = 8;
+
 struct OverpartitionConfig {
   /// Overpartitioning factor: p·s sublists are created (Li–Sevcik's s).
   u32 s = 4;
-  /// Oversampling: candidate pivots drawn per sublist.
-  u32 oversample = 8;
 };
 
 struct OverpartitionReport {
@@ -106,24 +107,15 @@ std::vector<std::vector<T>> overpartition_sort(
   std::vector<T> pivots;
   {
     const u64 want = std::min<u64>(
-        local.size(), static_cast<u64>(config.s) * config.oversample);
+        local.size(), static_cast<u64>(config.s) * kOverpartitionOversample);
     std::vector<T> sample;
     sample.reserve(want);
     for (u64 i = 0; i < want; ++i) {
       sample.push_back(local[ctx.rng().next_below(local.size())]);
     }
-    std::vector<T> gathered =
-        comm.template gather_records<T>(std::span<const T>(sample), 0);
-    if (rank == 0) {
-      PALADIN_EXPECTS_MSG(gathered.size() >= buckets,
-                          "not enough samples for p*s sublists");
-      seq::metered_sort(std::span<T>(gathered), ctx, less);
-      pivots.reserve(buckets - 1);
-      for (u64 j = 1; j < buckets; ++j) {
-        pivots.push_back(gathered[j * gathered.size() / buckets]);
-      }
-    }
-    pivots = comm.template bcast_records<T>(std::move(pivots), 0);
+    pivots = select_splitters<T, Less>(
+        ctx, SplitterConfig{.strategy = SplitterStrategy::kFlat},
+        SplitterCut::uniform(buckets - 1), std::move(sample), 0, less);
   }
 
   // 2. Route every record to its sublist by binary search (no local sort).

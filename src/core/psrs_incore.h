@@ -56,25 +56,12 @@ std::vector<T> psrs_incore_sort(net::NodeContext& ctx,
 
   // Phase 2: regular sampling; designated node selects pivots.
   const double t_sample0 = ctx.clock().now();
-  std::vector<T> pivots;
-  if (splitter_uses_tree(splitter, p)) {
-    const u64 o_total = oversample * splitter.tree_oversample;
-    const u64 off = perf.sample_stride_clamped(n, o_total);
-    std::vector<T> samples =
-        draw_regular_sample<T>(std::span<const T>(local), off);
-    pivots = tree_select_pivots<T, Less>(ctx, perf, std::move(samples),
-                                         o_total, splitter, 0, less);
-  } else {
-    const u64 off = perf.sample_stride(n, oversample);
-    std::vector<T> samples =
-        draw_regular_sample<T>(std::span<const T>(local), off);
-    std::vector<T> gathered =
-        comm.template gather_records<T>(std::span<const T>(samples), 0);
-    if (rank == 0) {
-      pivots = select_pivots<T, Less>(gathered, perf, ctx, less, oversample);
-    }
-    pivots = comm.template bcast_records<T>(std::move(pivots), 0);
-  }
+  const RegularSampling sampling =
+      regular_sampling(splitter, perf, n, oversample);
+  const std::vector<T> pivots = select_splitters<T, Less>(
+      ctx, splitter, SplitterCut::regular(perf, sampling.oversample),
+      draw_regular_sample<T>(std::span<const T>(local), sampling.stride), 0,
+      less);
   const double t_sample1 = ctx.clock().now();
 
   // Phase 3: partition the sorted share at the pivots.

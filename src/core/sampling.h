@@ -10,6 +10,8 @@
 // homogeneous case degenerates to classic PSRS pivots.
 #pragma once
 
+#include <algorithm>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -91,7 +93,9 @@ std::vector<T> draw_regular_sample(std::span<const T> sorted, u64 off) {
   return samples;
 }
 
-/// Sorts the gathered samples and selects the p−1 perf-weighted pivots.
+/// The p−1 perf-weighted pivot ranks r_j (1-based, non-decreasing) in the
+/// gathered regular sample — the kRegular row of the cut-rule table in
+/// core/splitter_tree.h.
 ///
 /// Pivot j must approximate the global quantile q_j = cum_j/Σperf (cum_j =
 /// perf[0]+…+perf[j]).  Node i's samples sit at local quantiles
@@ -100,11 +104,7 @@ std::vector<T> draw_regular_sample(std::span<const T> sorted, u64 off) {
 /// sample.  In the homogeneous case r_j = p·j, the classic PSRS regular
 /// positions.  (Taking p·cum_j unconditionally — the naive generalisation —
 /// is biased high whenever Σperf ∤ p·perf[i]·cum_j, which measurably
-/// overloads slow nodes.)  `samples` is consumed (sorted in place, charged
-/// to the meter).
-/// The p−1 pivot ranks r_j (1-based, non-decreasing) in the gathered
-/// sample list — shared between the flat selection below and the
-/// tree-path selection (core/splitter_tree.h), so the two cannot drift.
+/// overloads slow nodes.)
 inline std::vector<u64> psrs_pivot_targets(const hetero::PerfVector& perf,
                                            u64 oversample = 1) {
   const u32 p = perf.node_count();
@@ -123,53 +123,33 @@ inline std::vector<u64> psrs_pivot_targets(const hetero::PerfVector& perf,
   return targets;
 }
 
+/// The samples at the 1-based ranks `targets` of a sorted sample, each
+/// rank clamped to the last sample.
+template <Record T>
+std::vector<T> pick_at_ranks(std::span<const T> sorted,
+                             std::span<const u64> targets) {
+  PALADIN_EXPECTS(!sorted.empty() || targets.empty());
+  std::vector<T> picked;
+  picked.reserve(targets.size());
+  for (const u64 t : targets) {
+    picked.push_back(sorted[std::min<u64>(t - 1, sorted.size() - 1)]);
+  }
+  return picked;
+}
+
+/// Sorts a gathered regular sample (charged to the meter) and picks the
+/// p−1 perf-weighted pivots at the regular ranks.  The cluster-wide
+/// selection is core/splitter_tree.h's select_splitters; this is its flat
+/// root step for callers that gather by hand.
 template <Record T, typename Less = std::less<T>>
 std::vector<T> select_pivots(std::vector<T>& samples,
                              const hetero::PerfVector& perf, Meter& meter,
                              Less less = {}, u64 oversample = 1) {
-  const u32 p = perf.node_count();
-  PALADIN_EXPECTS_MSG(samples.size() >= p,
+  PALADIN_EXPECTS_MSG(samples.size() >= perf.node_count(),
                       "too few samples to select p-1 pivots");
   seq::metered_sort(std::span<T>(samples), meter, less);
-
-  std::vector<T> pivots;
-  pivots.reserve(p - 1);
-  for (const u64 rank : psrs_pivot_targets(perf, oversample)) {
-    const u64 index = std::min<u64>(rank - 1, samples.size() - 1);
-    pivots.push_back(samples[index]);
-  }
-  return pivots;
-}
-
-/// Adaptive variant (hetero::AdaptiveConfig): pivots cut the sorted sample
-/// at the *blended weight* quantiles instead of the static perf quantiles —
-/// pivot j at index ⌊S·(w_0+…+w_j)⌋ of the S gathered samples.  Because
-/// the global sample stride made every sample represent equal record mass,
-/// this targets a final partition proportional to w_j: records the static
-/// split would have left on a slowed node land on its faster peers
-/// (docs/ALGORITHM.md §Adaptive re-split).  `weights` must be normalized
-/// (sum 1) with one entry per node.
-template <Record T, typename Less = std::less<T>>
-std::vector<T> select_weighted_pivots(std::vector<T>& samples,
-                                      const std::vector<double>& weights,
-                                      Meter& meter, Less less = {}) {
-  const u64 p = weights.size();
-  PALADIN_EXPECTS(p >= 1);
-  PALADIN_EXPECTS_MSG(samples.size() >= p,
-                      "too few samples to select p-1 pivots");
-  seq::metered_sort(std::span<T>(samples), meter, less);
-
-  std::vector<T> pivots;
-  pivots.reserve(p - 1);
-  double cum = 0.0;
-  for (u64 j = 0; j + 1 < p; ++j) {
-    cum += weights[j];
-    const u64 index = std::min<u64>(
-        static_cast<u64>(static_cast<double>(samples.size()) * cum),
-        samples.size() - 1);
-    pivots.push_back(samples[index]);
-  }
-  return pivots;
+  return pick_at_ranks<T>(std::span<const T>(samples),
+                          psrs_pivot_targets(perf, oversample));
 }
 
 }  // namespace paladin::core

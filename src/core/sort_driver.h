@@ -9,8 +9,8 @@
 // records which, and core/backend.h's collect_sorted_output consumes it.
 //
 // Config plumbing is structural, not per-field: every backend config
-// derives from BackendConfig plus its own option struct, so the dispatch
-// assembles it with two slice-assignments and slices the common
+// derives from BackendConfig plus its own option struct (if it has knobs),
+// so the dispatch assembles it by slice-assignment and slices the common
 // BackendReport back out of whatever the backend returned.
 #pragma once
 
@@ -113,15 +113,13 @@ inline ParallelSortAlgorithm parse_algorithm(std::string_view name) {
   return *a;
 }
 
-/// Driver-level configuration: the shared BackendConfig core plus one
-/// option struct per backend (only the selected backend's options are
-/// read).
+/// Driver-level configuration: the shared BackendConfig core plus the
+/// option struct of each backend that has knobs of its own (only the
+/// selected backend's options are read).
 struct ParallelSortConfig : BackendConfig {
   ParallelSortAlgorithm algorithm = ParallelSortAlgorithm::kExtPsrs;
   ExtPsrsOptions psrs;
-  ExtDistributionOptions distribution;
   ExtOverpartitionOptions overpartition;
-  ExtMultiwayOptions multiway;
 };
 
 /// Uniform per-node result across the algorithms — the common slice of
@@ -132,14 +130,15 @@ using ParallelSortReport = BackendReport;
 namespace detail {
 
 /// Builds a backend's full config from the shared core plus its own
-/// options — both are bases of `Config`, so this is two slice-assignments
-/// — runs the backend, and returns the common slice of its report.
-template <typename Config, typename Options, typename Fn>
-ParallelSortReport run_backend(const BackendConfig& common,
-                               const Options& options, Fn&& run) {
+/// options, if any — each is a base of `Config`, so this is one
+/// slice-assignment per base — runs the backend, and returns the common
+/// slice of its report.
+template <typename Config, typename Fn, typename... Options>
+ParallelSortReport run_backend(const BackendConfig& common, Fn&& run,
+                               const Options&... options) {
   Config config;
   static_cast<BackendConfig&>(config) = common;
-  static_cast<Options&>(config) = options;
+  ((static_cast<Options&>(config) = options), ...);
   return run(config);
 }
 
@@ -154,22 +153,26 @@ ParallelSortReport parallel_external_sort(net::NodeContext& ctx,
   switch (config.algorithm) {
     case ParallelSortAlgorithm::kExtPsrs:
       return detail::run_backend<ExtPsrsConfig>(
-          config, config.psrs, [&](const ExtPsrsConfig& c) {
+          config,
+          [&](const ExtPsrsConfig& c) {
             return ext_psrs_sort<T, Less>(ctx, perf, c, less);
-          });
+          },
+          config.psrs);
     case ParallelSortAlgorithm::kExtDistribution:
       return detail::run_backend<ExtDistributionConfig>(
-          config, config.distribution, [&](const ExtDistributionConfig& c) {
+          config, [&](const ExtDistributionConfig& c) {
             return ext_distribution_sort<T, Less>(ctx, perf, c, less);
           });
     case ParallelSortAlgorithm::kExtOverpartition:
       return detail::run_backend<ExtOverpartitionConfig>(
-          config, config.overpartition, [&](const ExtOverpartitionConfig& c) {
+          config,
+          [&](const ExtOverpartitionConfig& c) {
             return ext_overpartition_sort<T, Less>(ctx, perf, c, less);
-          });
+          },
+          config.overpartition);
     case ParallelSortAlgorithm::kExtMultiway:
       return detail::run_backend<ExtMultiwayConfig>(
-          config, config.multiway, [&](const ExtMultiwayConfig& c) {
+          config, [&](const ExtMultiwayConfig& c) {
             return ext_multiway_sort<T, Less>(ctx, perf, c, less);
           });
   }
