@@ -5,7 +5,8 @@
 //    output IS the std::sort of the concatenated input (which subsumes
 //    record conservation and global order) — on the adversarial inputs
 //    (all-equal, pre-sorted, reverse-sorted, zipf-skewed, duplicates-heavy)
-//    and p ∈ {1, 2, 4} with unequal perf;
+//    and p ∈ {1, 2, 4} with unequal perf, on both splitter routes (the
+//    default flat one and the tree forced with fanout 2);
 //  * determinism — a bit-identical re-run: same output bytes, same virtual
 //    makespan, per (seed, config);
 //  * the parse/name round-trip and the driver's report slice (layout +
@@ -49,6 +50,15 @@ const std::vector<std::vector<u32>> kPerfSets = {
     {4, 2, 1, 1},  // p = 4, the paper's heterogeneous shape
 };
 
+/// The splitter routes every cell runs on: the default (flat at these p)
+/// and the multi-level tree forced with fanout 2.
+std::vector<SplitterConfig> splitter_axis() {
+  SplitterConfig tree;
+  tree.strategy = SplitterStrategy::kTree;
+  tree.fanout = 2;
+  return {SplitterConfig{}, tree};
+}
+
 struct BackendRun {
   std::vector<DefaultKey> input;   ///< concatenated shares, rank order
   std::vector<DefaultKey> output;  ///< globally collected sorted sequence
@@ -58,7 +68,7 @@ struct BackendRun {
 
 BackendRun run_backend(ParallelSortAlgorithm algo,
                        const std::vector<u32>& perf_values, Dist dist,
-                       u64 seed) {
+                       const SplitterConfig& splitter, u64 seed) {
   PerfVector perf(perf_values);
   const u64 n = perf.admissible_size(96);
 
@@ -80,6 +90,7 @@ BackendRun run_backend(ParallelSortAlgorithm algo,
   psc.sequential.tape_count = test_params::kTapeCount;
   psc.sequential.allow_in_memory = false;
   psc.message_records = test_params::kMessageRecords;
+  psc.splitter = splitter;
 
   struct NodeResult {
     std::vector<DefaultKey> input;
@@ -126,28 +137,34 @@ BackendRun run_backend(ParallelSortAlgorithm algo,
 }
 
 void check_backend_matrix(ParallelSortAlgorithm algo) {
-  u64 seed = 7;
-  for (const std::vector<u32>& perf : kPerfSets) {
-    for (const Dist dist : kAdversarial) {
-      SCOPED_TRACE(std::string(to_string(algo)) + " dist=" +
-                   workload::to_string(dist) + " p=" +
-                   std::to_string(perf.size()));
-      const BackendRun first = run_backend(algo, perf, dist, seed);
+  for (const SplitterConfig& splitter : splitter_axis()) {
+    u64 seed = 7;
+    for (const std::vector<u32>& perf : kPerfSets) {
+      for (const Dist dist : kAdversarial) {
+        SCOPED_TRACE(std::string(to_string(algo)) + " dist=" +
+                     workload::to_string(dist) + " p=" +
+                     std::to_string(perf.size()) +
+                     " splitter=" + to_string(splitter.strategy));
+        const BackendRun first =
+            run_backend(algo, perf, dist, splitter, seed);
 
-      // Oracle: the collected output IS the std::sort of the input.  This
-      // subsumes record conservation (same multiset) and global order.
-      std::vector<DefaultKey> oracle = first.input;
-      std::sort(oracle.begin(), oracle.end());
-      ASSERT_EQ(first.output.size(), first.input.size());
-      ASSERT_EQ(first.output, oracle);
-      ASSERT_TRUE(first.layout_ok);
+        // Oracle: the collected output IS the std::sort of the input.
+        // This subsumes record conservation (same multiset) and global
+        // order.
+        std::vector<DefaultKey> oracle = first.input;
+        std::sort(oracle.begin(), oracle.end());
+        ASSERT_EQ(first.output.size(), first.input.size());
+        ASSERT_EQ(first.output, oracle);
+        ASSERT_TRUE(first.layout_ok);
 
-      // Determinism: the whole run replays bitwise — output bytes and
-      // virtual makespan — from (seed, config) alone.
-      const BackendRun again = run_backend(algo, perf, dist, seed);
-      ASSERT_EQ(again.output, first.output);
-      ASSERT_EQ(again.makespan, first.makespan);
-      ++seed;
+        // Determinism: the whole run replays bitwise — output bytes and
+        // virtual makespan — from (seed, config) alone.
+        const BackendRun again =
+            run_backend(algo, perf, dist, splitter, seed);
+        ASSERT_EQ(again.output, first.output);
+        ASSERT_EQ(again.makespan, first.makespan);
+        ++seed;
+      }
     }
   }
 }

@@ -6,6 +6,8 @@
 //    zipf / all-duplicates adversaries;
 //  * flat≡tree equivalence — the degenerate tree configuration (single
 //    group, re-sampling disabled) reproduces the flat path bit-for-bit,
+//    for the regular rule (in-core PSRS) and for the sample rules of the
+//    distribution, multiway (dedup) and overpartitioning backends,
 //    and the kAuto heuristic below tree_threshold IS the flat path
 //    (so the golden traces cannot churn);
 //  * bitwise determinism — external tree-strategy runs replay to
@@ -23,6 +25,7 @@
 
 #include "core/ext_psrs.h"
 #include "core/psrs_incore.h"
+#include "core/sort_driver.h"
 #include "core/sampling.h"
 #include "core/splitter_tree.h"
 #include "core/verify.h"
@@ -327,21 +330,28 @@ TEST(SplitterTree, ExpansionBoundAcrossDistsAndScales) {
 // ---------------------------------------------------------------------
 // flat ≡ tree equivalence.
 
-TEST(SplitterTree, DegenerateTreeReproducesFlatExactly) {
-  // Single group (fanout >= p) + re-sampling disabled: the root digest is
-  // the fully merged sample multiset, so the selected pivots — and hence
-  // every node's output slice — must match the flat path bit-for-bit.
+/// Single group (fanout >= p) + re-sampling disabled: the root digest is
+/// the fully merged sample multiset (distinct values under dedup), so the
+/// tree route must select exactly the flat route's splitters.
+SplitterConfig degenerate_tree() {
   SplitterConfig degenerate;
   degenerate.strategy = SplitterStrategy::kTree;
   degenerate.fanout = 64;
   degenerate.tree_oversample = 1;  // identical leaf sample
   degenerate.digest_per_node = SplitterConfig::kNoDigest;
+  return degenerate;
+}
+
+const std::vector<std::vector<u32>> kDegeneratePerfSets = {
+    {1, 1}, {4, 2, 1, 1}, {3, 1, 2, 1, 1, 2, 1, 1}};
+
+TEST(SplitterTree, DegenerateTreeReproducesFlatExactly) {
+  // The regular rule (in-core PSRS): identical pivots, hence every node's
+  // output slice matches the flat path bit-for-bit.
   SplitterConfig flat;
   flat.strategy = SplitterStrategy::kFlat;
 
-  for (const std::vector<u32>& perf_values :
-       {std::vector<u32>{1, 1}, std::vector<u32>{4, 2, 1, 1},
-        std::vector<u32>{3, 1, 2, 1, 1, 2, 1, 1}}) {
+  for (const std::vector<u32>& perf_values : kDegeneratePerfSets) {
     const PerfVector perf(perf_values);
     const u64 n = perf.round_up_admissible(
         4 * perf.node_count() * perf.sum());
@@ -350,9 +360,98 @@ TEST(SplitterTree, DegenerateTreeReproducesFlatExactly) {
       SCOPED_TRACE(std::string("p=") + std::to_string(perf.node_count()) +
                    " dist=" + workload::to_string(dist));
       const InCoreRun a = run_incore(perf_values, dist, n, flat);
-      const InCoreRun b = run_incore(perf_values, dist, n, degenerate);
+      const InCoreRun b = run_incore(perf_values, dist, n, degenerate_tree());
       EXPECT_EQ(a.slices, b.slices);
       EXPECT_EQ(a.final_sizes, b.final_sizes);
+    }
+  }
+}
+
+struct BackendSlices {
+  /// Per node: its contiguous slice, or its owned buckets concatenated.
+  std::vector<std::vector<DefaultKey>> slices;
+  std::vector<std::vector<u64>> owned_buckets;
+  std::vector<u64> final_records;
+};
+
+BackendSlices run_backend_slices(ParallelSortAlgorithm algo,
+                                 const std::vector<u32>& perf_values,
+                                 Dist dist, const SplitterConfig& splitter) {
+  const PerfVector perf(perf_values);
+  const u64 n = perf.admissible_size(24);
+  ClusterConfig config;
+  config.perf = perf_values;
+  config.disk = test_params::tiny_blocks();
+  config.seed = 31;
+  Cluster cluster(config);
+  WorkloadSpec spec;
+  spec.dist = dist;
+  spec.total_records = n;
+  spec.node_count = perf.node_count();
+  spec.seed = 5;
+
+  struct NodeOut {
+    std::vector<DefaultKey> slice;
+    ParallelSortReport report;
+  };
+  auto outcome = cluster.run([&](NodeContext& ctx) -> NodeOut {
+    workload::write_share(spec, ctx.rank(), perf.share_offset(ctx.rank(), n),
+                          perf.share(ctx.rank(), n), ctx.disk(), "input");
+    ParallelSortConfig psc;
+    psc.algorithm = algo;
+    psc.sequential.memory_records = test_params::kMemoryRecords;
+    psc.sequential.tape_count = test_params::kTapeCount;
+    psc.sequential.allow_in_memory = false;
+    psc.message_records = test_params::kMessageRecords;
+    psc.splitter = splitter;
+    NodeOut out;
+    out.report = parallel_external_sort<DefaultKey>(ctx, perf, psc);
+    if (out.report.layout == OutputLayout::kContiguousSlice) {
+      out.slice = pdm::read_file<DefaultKey>(ctx.disk(), psc.output);
+    }
+    for (const u64 b : out.report.owned_buckets) {
+      const std::vector<DefaultKey> bucket = pdm::read_file<DefaultKey>(
+          ctx.disk(), bucket_file_name(psc.output, b));
+      out.slice.insert(out.slice.end(), bucket.begin(), bucket.end());
+    }
+    return out;
+  });
+
+  BackendSlices r;
+  for (NodeOut& node : outcome.results) {
+    r.slices.push_back(std::move(node.slice));
+    r.owned_buckets.push_back(node.report.owned_buckets);
+    r.final_records.push_back(node.report.final_records);
+  }
+  return r;
+}
+
+TEST(SplitterTree, DegenerateTreeReproducesFlatForSampleRules) {
+  // The random-sample rules through the backends: perf shares
+  // (distribution), perf shares in unique-value space (multiway's dedup)
+  // and uniform p·s−1 cuts (overpartitioning).  Equal splitters leave
+  // equal slices, buckets and record counts on every node.  Makespans are
+  // not compared: the tree route sorts locally and merges.
+  SplitterConfig flat;
+  flat.strategy = SplitterStrategy::kFlat;
+  for (const ParallelSortAlgorithm algo :
+       {ParallelSortAlgorithm::kExtDistribution,
+        ParallelSortAlgorithm::kExtMultiway,
+        ParallelSortAlgorithm::kExtOverpartition}) {
+    for (const std::vector<u32>& perf_values : kDegeneratePerfSets) {
+      for (const Dist dist : {Dist::kUniform, Dist::kZipf, Dist::kZero,
+                              Dist::kStaggered}) {
+        SCOPED_TRACE(std::string(to_string(algo)) +
+                     " p=" + std::to_string(perf_values.size()) +
+                     " dist=" + workload::to_string(dist));
+        const BackendSlices a =
+            run_backend_slices(algo, perf_values, dist, flat);
+        const BackendSlices b =
+            run_backend_slices(algo, perf_values, dist, degenerate_tree());
+        EXPECT_EQ(a.slices, b.slices);
+        EXPECT_EQ(a.owned_buckets, b.owned_buckets);
+        EXPECT_EQ(a.final_records, b.final_records);
+      }
     }
   }
 }
