@@ -227,11 +227,7 @@ class Communicator {
 
   template <Record T>
   std::vector<T> recv_records(u32 src, int tag) {
-    Packet p = recv_packet(src, tag);
-    PALADIN_ASSERT(p.payload.size() % sizeof(T) == 0);
-    std::vector<T> out(p.payload.size() / sizeof(T));
-    std::memcpy(out.data(), p.payload.data(), p.payload.size());
-    return out;
+    return payload_records<T>(recv_packet(src, tag));
   }
 
   // -- Collectives (linear algorithms; cluster sizes here are small). ----
@@ -411,10 +407,19 @@ class Communicator {
 
   template <Record T>
   std::vector<T> recv_records_internal(u32 src, int tag) {
-    Packet p = recv_internal(src, tag);
+    return payload_records<T>(recv_internal(src, tag));
+  }
+
+  /// A packet's payload as whole records.  An empty payload (a rank with
+  /// nothing to contribute) must skip the copy: both pointers are null
+  /// then, and memcpy's arguments must be valid even for zero bytes.
+  template <Record T>
+  static std::vector<T> payload_records(const Packet& p) {
     PALADIN_ASSERT(p.payload.size() % sizeof(T) == 0);
     std::vector<T> out(p.payload.size() / sizeof(T));
-    std::memcpy(out.data(), p.payload.data(), p.payload.size());
+    if (!out.empty()) {
+      std::memcpy(out.data(), p.payload.data(), p.payload.size());
+    }
     return out;
   }
 
