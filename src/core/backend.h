@@ -379,11 +379,42 @@ u64 concat_files(pdm::Disk& disk, std::span<const std::string> sources,
   return writer.records_written();
 }
 
+/// Collective, bucket layout: the owner of every bucket, at `root` from
+/// every rank's ascending `owned` list (gathered in rank order); off the
+/// root only this rank's own buckets are filled in, the rest read p.
+inline std::vector<u32> gather_bucket_owners(net::Communicator& comm,
+                                             std::span<const u64> owned,
+                                             u32 root) {
+  const u32 p = comm.size();
+  const u64 my_count = owned.size();
+  const std::vector<u64> counts =
+      comm.gather_records<u64>(std::span<const u64>(&my_count, 1), root);
+  const std::vector<u64> all_ids = comm.gather_records<u64>(owned, root);
+
+  std::vector<u32> owner_of;
+  const auto claim = [&](u64 b, u32 who) {
+    if (b >= owner_of.size()) owner_of.resize(b + 1, p);
+    PALADIN_ASSERT(owner_of[b] == p);  // owned exactly once
+    owner_of[b] = who;
+  };
+  if (comm.rank() != root) {
+    for (const u64 b : owned) claim(b, comm.rank());
+    return owner_of;
+  }
+  u64 pos = 0;
+  for (u32 i = 0; i < p; ++i) {
+    for (u64 k = 0; k < counts[i]; ++k) claim(all_ids[pos++], i);
+  }
+  for (const u32 o : owner_of) PALADIN_ASSERT(o < p);  // no bucket missing
+  return owner_of;
+}
+
 /// Collective: assembles the globally sorted sequence at `root` into
-/// `dest` on root's disk, whatever the backend's output layout.
-/// Contiguous slices concatenate in rank order (gather_shares); bucket
-/// files concatenate in global bucket order, each streamed from its owner.
-/// Returns the total record count on every node.
+/// `dest` on root's disk, whatever the backend's output layout — one
+/// gather_pieces walk over an owner-per-position list.  Contiguous slices
+/// are one piece per rank in rank order (gather_shares); bucket files are
+/// one piece per bucket in global bucket order, owners from
+/// gather_bucket_owners.  Returns the total record count on every node.
 template <Record T>
 u64 collect_sorted_output(net::NodeContext& ctx, const BackendConfig& config,
                           const BackendReport& report, const std::string& dest,
@@ -394,86 +425,20 @@ u64 collect_sorted_output(net::NodeContext& ctx, const BackendConfig& config,
   }
 
   net::Communicator& comm = ctx.comm();
-  const u32 rank = comm.rank();
-  constexpr int kTagHeader = 54;
-  constexpr int kTagData = 55;
-
+  const auto bucket = [&](u64 b) {
+    return bucket_file_name(config.output, b);
+  };
   std::vector<u64> owned = report.owned_buckets;
   std::sort(owned.begin(), owned.end());
   u64 mine = 0;
-  for (u64 b : owned) {
-    mine += ctx.disk().file_records<T>(bucket_file_name(config.output, b));
-  }
+  for (const u64 b : owned) mine += ctx.disk().file_records<T>(bucket(b));
   const u64 total = comm.allreduce_sum(mine);
-
-  // Everyone announces the buckets it owns; root reconstructs the global
-  // owner map from the concatenated (rank-ordered) lists.
-  const u64 my_count = owned.size();
-  std::vector<u64> counts = comm.template gather_records<u64>(
-      std::span<const u64>(&my_count, 1), root);
-  std::vector<u64> all_ids =
-      comm.template gather_records<u64>(std::span<const u64>(owned), root);
-
-  if (rank != root) {
-    // Stream my buckets in ascending bucket order — the order root visits
-    // them within my rank's interleave of the global bucket sequence.
-    for (u64 b : owned) {
-      pdm::BlockFile f =
-          ctx.disk().open(bucket_file_name(config.output, b));
-      pdm::BlockReader<T> reader(f);
-      comm.send_value<u64>(root, kTagHeader, reader.size_records());
-      std::vector<T> chunk;
-      chunk.reserve(config.message_records);
-      T v;
-      while (reader.next(v)) {
-        chunk.push_back(v);
-        if (chunk.size() == config.message_records) {
-          comm.template send_records<T>(root, kTagData, chunk);
-          chunk.clear();
-        }
-      }
-      if (!chunk.empty()) comm.template send_records<T>(root, kTagData, chunk);
-    }
-    return total;
-  }
-
-  std::vector<u32> owner_of;  // owner_of[b] = owning rank
-  {
-    u64 pos = 0;
-    for (u32 i = 0; i < comm.size(); ++i) {
-      for (u64 k = 0; k < counts[i]; ++k) {
-        const u64 b = all_ids[pos++];
-        if (b >= owner_of.size()) owner_of.resize(b + 1, comm.size());
-        PALADIN_ASSERT(owner_of[b] == comm.size());  // owned exactly once
-        owner_of[b] = i;
-      }
-    }
-    for (u32 o : owner_of) PALADIN_ASSERT(o < comm.size());
-  }
-
-  pdm::BlockFile out = ctx.disk().create(dest);
-  pdm::BlockWriter<T> writer(out);
-  for (u64 b = 0; b < owner_of.size(); ++b) {
-    const u32 who = owner_of[b];
-    if (who == root) {
-      pdm::BlockFile f =
-          ctx.disk().open(bucket_file_name(config.output, b));
-      pdm::BlockReader<T> reader(f);
-      const u64 copied = pdm::copy_records(reader, writer);
-      ctx.on_moves(copied);
-      continue;
-    }
-    const u64 expected = comm.recv_value<u64>(who, kTagHeader);
-    u64 got = 0;
-    while (got < expected) {
-      std::vector<T> data = comm.template recv_records<T>(who, kTagData);
-      PALADIN_ASSERT(!data.empty());
-      writer.push_span(std::span<const T>(data));
-      got += data.size();
-    }
-  }
-  writer.flush();
-  PALADIN_ENSURES(writer.records_written() == total);
+  const std::vector<u32> owner_of =
+      gather_bucket_owners(comm, std::span<const u64>(owned), root);
+  const u64 written =
+      gather_pieces<T>(ctx, std::span<const u32>(owner_of), bucket, dest,
+                       root, config.message_records);
+  PALADIN_ENSURES(comm.rank() != root || written == total);
   return total;
 }
 

@@ -39,6 +39,7 @@
 #include "base/types.h"
 #include "core/backend.h"
 #include "core/redistribute.h"
+#include "core/wire_tags.h"
 #include "hetero/perf_vector.h"
 #include "net/cluster.h"
 #include "pdm/typed_io.h"
@@ -60,7 +61,8 @@ namespace paladin::core {
 inline constexpr u64 kMultiwayOversample = 32;
 
 /// Wire tags and counter prefix of the run-piece exchange.
-inline constexpr ExchangeChannel kMultiwayChannel{70, 71, 72, "multiway"};
+inline constexpr ExchangeChannel kMultiwayChannel{
+    kTagMultiwayHeader, kTagMultiwayData, kTagMultiwayAck, "multiway"};
 
 /// The backend has no knobs of its own; the common core is BackendConfig.
 struct ExtMultiwayConfig : BackendConfig {};

@@ -16,8 +16,9 @@
 // `<output>.bucket<b>`; globally the sort order is the bucket order, with
 // ownership scattered by the schedule — overpartitioning trades the
 // contiguous-slice property of PSRS for size-adaptive assignment.  The
-// sample/splitter/route scaffolding comes from core/backend.h; the LPT
-// schedule and the bucket shipping are this backend's own.
+// sample/splitter/route scaffolding comes from core/backend.h, the framed
+// bucket shipping from core/scatter_gather.h; the LPT schedule is this
+// backend's own.
 #pragma once
 
 #include <algorithm>
@@ -58,8 +59,6 @@ ExtOverpartitionReport ext_overpartition_sort(
   const u32 rank = comm.rank();
   const u64 buckets = static_cast<u64>(p) * config.s;
   BackendContext bc(ctx, perf, config);
-  constexpr int kTagHeader = 60;
-  constexpr int kTagData = 61;
 
   ExtOverpartitionReport report;
   Phase total(bc, report.t_total);
@@ -119,64 +118,40 @@ ExtOverpartitionReport ext_overpartition_sort(
                 global_sizes, std::span<const double>(adapt_weights));
 
   // ---- 4. Ship bucket files to their owners ----------------------------
-  // Send: for each bucket not owned by me, stream my local piece to the
-  // owner, framed per bucket.  Receive: for each bucket I own, collect the
-  // pieces of all peers.
-  std::vector<T> chunk;
-  chunk.reserve(config.message_records);
+  // Send: to each peer in ring order, my local piece of every bucket it
+  // owns, one framed piece per bucket.  Receive: start each owned bucket
+  // with my local piece, then append the peers' pieces in the mirrored
+  // ring order.
   for (u32 offset = 1; offset < p; ++offset) {
     const u32 dst = (rank + offset) % p;
     for (u64 b = 0; b < buckets; ++b) {
       if (owner[b] != dst) continue;
       pdm::BlockFile f = ctx.disk().open(local_bucket(b));
       pdm::BlockReader<T> reader(f);
-      comm.send_value<u64>(dst, kTagHeader, reader.size_records());
-      chunk.clear();
-      T v;
-      while (reader.next(v)) {
-        chunk.push_back(v);
-        if (chunk.size() == config.message_records) {
-          comm.template send_records<T>(dst, kTagData, chunk);
-          chunk.clear();
-        }
-      }
-      if (!chunk.empty()) {
-        comm.template send_records<T>(dst, kTagData, chunk);
-        chunk.clear();
-      }
+      send_piece<T>(comm, dst, kShipTags, reader, reader.size_records(),
+                    config.message_records);
     }
   }
 
   const auto owned_bucket = [&](u64 b) {
     return bucket_file_name(config.output, b);
   };
-  // Start each owned bucket with my local piece, then append peers'.
   for (u64 b = 0; b < buckets; ++b) {
     if (owner[b] != rank) continue;
     pdm::BlockFile out = ctx.disk().create(owned_bucket(b) + ".raw");
     pdm::BlockWriter<T> writer(out);
-    {
-      pdm::BlockFile f = ctx.disk().open(local_bucket(b));
-      pdm::BlockReader<T> reader(f);
-      T v;
-      while (reader.next(v)) writer.push(v);
-    }
+    pdm::BlockFile f = ctx.disk().open(local_bucket(b));
+    pdm::BlockReader<T> reader(f);
+    pdm::copy_records(reader, writer);
     writer.flush();
   }
   for (u32 offset = 1; offset < p; ++offset) {
     const u32 src = (rank + p - offset) % p;
     for (u64 b = 0; b < buckets; ++b) {
       if (owner[b] != rank) continue;
-      const u64 expected = comm.recv_value<u64>(src, kTagHeader);
       pdm::BlockFile out = ctx.disk().open(owned_bucket(b) + ".raw");
       pdm::BlockWriter<T> writer(out, /*append=*/true);
-      u64 got = 0;
-      while (got < expected) {
-        std::vector<T> data = comm.template recv_records<T>(src, kTagData);
-        PALADIN_ASSERT(!data.empty());
-        writer.push_span(std::span<const T>(data));
-        got += data.size();
-      }
+      recv_piece<T>(comm, src, kShipTags, writer);
       writer.flush();
     }
   }

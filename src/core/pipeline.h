@@ -40,6 +40,7 @@
 #include "base/types.h"
 #include "core/merge_files.h"
 #include "core/partition_file.h"
+#include "core/wire_tags.h"
 #include "net/cluster.h"
 #include "net/virtual_clock.h"
 #include "obs/trace.h"
@@ -47,9 +48,6 @@
 #include "seq/loser_tree.h"
 
 namespace paladin::core {
-
-inline constexpr int kTagPipelineData = 50;
-inline constexpr int kTagPipelineAck = 51;
 
 /// What the fused steps 3–5 produced on this node.
 struct PipelineOutcome {

@@ -42,6 +42,7 @@
 #include "base/math_util.h"
 #include "base/types.h"
 #include "core/partition_file.h"
+#include "core/wire_tags.h"
 #include "net/cluster.h"
 #include "pdm/typed_io.h"
 
@@ -84,8 +85,9 @@ struct ExchangeChannel {
 };
 
 /// Phased PSRS Step 4 and distribution sort.
-inline constexpr ExchangeChannel kRedistributeChannel{40, 41, 42,
-                                                      "redistribute"};
+inline constexpr ExchangeChannel kRedistributeChannel{
+    kTagRedistributeHeader, kTagRedistributeData, kTagRedistributeAck,
+    "redistribute"};
 
 namespace detail {
 

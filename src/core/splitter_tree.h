@@ -48,6 +48,7 @@
 #include "base/math_util.h"
 #include "base/types.h"
 #include "core/sampling.h"
+#include "core/wire_tags.h"
 #include "hetero/perf_vector.h"
 #include "net/cluster.h"
 #include "obs/trace.h"
@@ -164,10 +165,6 @@ struct SplitterTreeStats {
   /// Digest points this node sent upward (0 for the root).
   u64 samples_forwarded = 0;
 };
-
-/// Message tag of the digest sends (40–42, 50–55, 60–61 and 70–72 are
-/// taken by the other collectives and exchanges).
-inline constexpr int kTagSplitterDigest = 80;
 
 /// Merges `runs` (each sorted by value) with a loser tree charged to
 /// `meter` and re-samples the merged stream into at most `digest_budget`

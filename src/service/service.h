@@ -35,6 +35,7 @@
 #include "base/contracts.h"
 #include "base/types.h"
 #include "core/sort_driver.h"
+#include "core/wire_tags.h"
 #include "net/cluster.h"
 #include "service/job.h"
 #include "service/report.h"
@@ -42,9 +43,11 @@
 namespace paladin::service {
 
 /// Wire-tag spacing between concurrent jobs: wider than any logical tag
-/// an algorithm uses (user tags live in [0, 80], reserved collective tags
-/// in [-6, -2]).
+/// an algorithm uses (core/wire_tags.h; reserved collective tags live in
+/// [-6, -2]).
 inline constexpr int kJobTagStride = 1024;
+static_assert(core::kCoreTagLimit <= kJobTagStride,
+              "a job's tag namespace must hold every core wire tag");
 
 struct ServiceConfig {
   /// The physical shared cluster: perf, network, disk, cost model,
