@@ -55,9 +55,10 @@ struct ExtPsrsOptions {
   /// Per-destination credit window in pipelined mode and in the phased
   /// exchange: at most this many un-acknowledged chunks in flight.
   u64 flow_window_chunks = kDefaultFlowWindow;
-  /// Phased Step 3 via partition_sorted_file_seek: binary-search each
-  /// buffered chunk's cut position (Θ((l/B)·p·log B) comparisons) instead
-  /// of comparing every record (Θ(l)), same single streaming pass.
+  /// Phased Step 3 with partition_sorted_file's boundary seek: binary-
+  /// search each buffered chunk's cut position (Θ((l/B)·p·log B)
+  /// comparisons) instead of comparing every record (Θ(l)), same single
+  /// streaming pass.
   /// Identical partition contents; off by default so the paper's
   /// record-at-a-time comparison bill stays the modelled cost.
   bool partition_boundary_seek = false;
@@ -244,15 +245,9 @@ ExtPsrsReport ext_psrs_sort(net::NodeContext& ctx,
   {
     Phase step(bc, "psrs", "step3.partition", report.t_partition,
                &report.io_partition);
-    if (config.partition_boundary_seek) {
-      partition_sorted_file_seek<T, Less>(ctx.disk(), sorted_local,
-                                          part_prefix,
-                                          std::span<const T>(pivots), ctx,
-                                          less);
-    } else {
-      partition_sorted_file<T, Less>(ctx.disk(), sorted_local, part_prefix,
-                                     std::span<const T>(pivots), ctx, less);
-    }
+    partition_sorted_file<T, Less>(ctx.disk(), sorted_local, part_prefix,
+                                   std::span<const T>(pivots), ctx, less,
+                                   config.partition_boundary_seek);
     if (!config.keep_intermediates) ctx.disk().remove(sorted_local);
   }
 

@@ -28,118 +28,25 @@ inline std::string partition_name(const std::string& prefix, u32 j) {
 
 /// Streams `sorted_file` into p partition files `prefix + ".part<j>"`.
 /// Returns the number of records landed in each partition.
+///
+/// `boundary_seek` (ExtPsrsOptions::partition_boundary_seek) changes only
+/// how the records that stay in the current partition are billed: each
+/// buffered chunk's cut position is found with a metered binary search
+/// (⌈log2(c+1)⌉ comparisons per upper_bound, charged as it happens,
+/// seq::metered_upper_bound) instead of one comparison per staying record.
+/// Comparisons drop from Θ(l) to Θ((l/B)·p·log B); the tie rule (records
+/// equal to a pivot stay in the lower partition — upper_bound, the
+/// partition_cuts rule), the partition contents, and the 2·l/B streaming
+/// I/O bound are unchanged.  Opt-in rather than a silent replacement
+/// because the record-at-a-time comparison bill is the paper's modelled
+/// cost.
 template <Record T, typename Less = std::less<T>>
 std::vector<u64> partition_sorted_file(pdm::Disk& disk,
                                        const std::string& sorted_file,
                                        const std::string& prefix,
                                        std::span<const T> pivots, Meter& meter,
-                                       Less less = {}) {
-  const u32 p = static_cast<u32>(pivots.size()) + 1;
-  std::vector<u64> sizes(p, 0);
-
-  pdm::BlockFile in = disk.open(sorted_file);
-  pdm::BlockReader<T> reader(in);
-
-  u32 current = 0;
-  pdm::BlockFile out_file = disk.create(partition_name(prefix, 0));
-  std::vector<pdm::BlockFile> files;
-  std::vector<pdm::BlockWriter<T>> writers;
-  files.reserve(p);
-  writers.reserve(p);
-  files.push_back(std::move(out_file));
-  writers.emplace_back(files.back());
-
-  u64 compares = 0;
-  if (disk.params().bulk_transfers) {
-    // Block-granular variant of the loop below: records at or below the
-    // current pivot form a prefix of each buffered chunk (input sorted),
-    // so they move with one push_span at one comparison each — the same
-    // comparison the record-at-a-time loop spends to learn "stays here".
-    // The first record past the pivot replays the pivot-advance loop
-    // verbatim, so comparison counts and partition-file creation points
-    // are identical.
-    for (;;) {
-      std::span<const T> chunk = reader.buffered();
-      if (chunk.empty()) break;
-      while (!chunk.empty()) {
-        if (current + 1 == p) {
-          // Last partition: everything remaining stays, no comparisons.
-          writers[current].push_span(chunk);
-          sizes[current] += chunk.size();
-          reader.advance_n(chunk.size());
-          break;
-        }
-        const auto past = std::upper_bound(chunk.begin(), chunk.end(),
-                                           pivots[current], less);
-        const u64 stay = static_cast<u64>(past - chunk.begin());
-        if (stay > 0) {
-          writers[current].push_span(chunk.first(stay));
-          sizes[current] += stay;
-          compares += stay;
-          reader.advance_n(stay);
-          chunk = chunk.subspan(stay);
-          if (chunk.empty()) break;
-        }
-        const T& v = chunk.front();
-        while (current + 1 < p) {
-          ++compares;
-          if (!less(pivots[current], v)) break;  // v <= pivot: stays here
-          ++current;
-          files.push_back(disk.create(partition_name(prefix, current)));
-          writers.emplace_back(files.back());
-        }
-        writers[current].push(v);
-        ++sizes[current];
-        reader.advance_n(1);
-        chunk = chunk.subspan(1);
-      }
-    }
-  } else {
-    T v;
-    while (reader.next(v)) {
-      // Advance past every pivot the record exceeds (input is sorted, so
-      // `current` only moves forward; the total comparison count is
-      // records + p, not records·log p).
-      while (current + 1 < p) {
-        ++compares;
-        if (!less(pivots[current], v)) break;  // v <= pivot: stays here
-        ++current;
-        files.push_back(disk.create(partition_name(prefix, current)));
-        writers.emplace_back(files.back());
-      }
-      writers[current].push(v);
-      ++sizes[current];
-    }
-  }
-  meter.on_compares(compares);
-  meter.on_moves(reader.size_records());
-
-  // Seal open writers and materialise empty partitions for the tail.
-  for (auto& w : writers) w.flush();
-  for (u32 j = current + 1; j < p; ++j) {
-    pdm::BlockFile f = disk.create(partition_name(prefix, j));
-    pdm::BlockWriter<T> w(f);
-    w.flush();
-  }
-  return sizes;
-}
-
-/// Boundary-seek variant (ExtPsrsOptions::partition_boundary_seek): the
-/// same single streaming pass as the bulk path above, but each buffered
-/// chunk's cut position is found with a metered binary search
-/// (⌈log2(c+1)⌉ comparisons per upper_bound, seq::metered_upper_bound)
-/// instead of billing one comparison per staying record.  Comparisons
-/// drop from Θ(l) to Θ((l/B)·p·log B); the tie rule (records equal to a
-/// pivot stay in the lower partition — upper_bound, the partition_cuts
-/// rule), the partition contents, and the 2·l/B streaming I/O bound are
-/// unchanged.  Opt-in rather than a silent replacement because the
-/// record-at-a-time comparison bill is the paper's modelled cost.
-template <Record T, typename Less = std::less<T>>
-std::vector<u64> partition_sorted_file_seek(pdm::Disk& disk,
-                                            const std::string& sorted_file,
-                                            const std::string& prefix,
-                                            std::span<const T> pivots,
-                                            Meter& meter, Less less = {}) {
+                                       Less less = {},
+                                       bool boundary_seek = false) {
   const u32 p = static_cast<u32>(pivots.size()) + 1;
   std::vector<u64> sizes(p, 0);
 
@@ -154,45 +61,71 @@ std::vector<u64> partition_sorted_file_seek(pdm::Disk& disk,
   files.push_back(disk.create(partition_name(prefix, 0)));
   writers.emplace_back(files.back());
 
-  u64 advance_compares = 0;
-  for (;;) {
-    std::span<const T> chunk = reader.buffered();
-    if (chunk.empty()) break;
-    while (!chunk.empty()) {
-      if (current + 1 == p) {
-        // Last partition: everything remaining stays, no comparisons.
-        writers[current].push_span(chunk);
-        sizes[current] += chunk.size();
-        reader.advance_n(chunk.size());
-        break;
+  // Steps past every pivot `v` exceeds (input is sorted, so `current` only
+  // moves forward; the total is records + p comparisons, not
+  // records·log p), creating the partition files in between.
+  u64 compares = 0;
+  const auto advance_to_home = [&](const T& v) {
+    while (current + 1 < p) {
+      ++compares;
+      if (!less(pivots[current], v)) break;  // v <= pivot: stays here
+      ++current;
+      files.push_back(disk.create(partition_name(prefix, current)));
+      writers.emplace_back(files.back());
+    }
+  };
+
+  if (boundary_seek || disk.params().bulk_transfers) {
+    // Block-granular variant of the loop below: records at or below the
+    // current pivot form a prefix of each buffered chunk (input sorted),
+    // so they move with one push_span.  Billed per record, that prefix
+    // costs one comparison each — the same comparison the
+    // record-at-a-time loop spends to learn "stays here".  The first
+    // record past the pivot replays the pivot-advance loop verbatim, so
+    // comparison counts and partition-file creation points are identical.
+    for (;;) {
+      std::span<const T> chunk = reader.buffered();
+      if (chunk.empty()) break;
+      while (!chunk.empty()) {
+        if (current + 1 == p) {
+          // Last partition: everything remaining stays, no comparisons.
+          writers[current].push_span(chunk);
+          sizes[current] += chunk.size();
+          reader.advance_n(chunk.size());
+          break;
+        }
+        u64 stay = 0;
+        if (boundary_seek) {
+          stay = seq::metered_upper_bound(chunk, pivots[current], meter, less);
+        } else {
+          stay = static_cast<u64>(std::upper_bound(chunk.begin(), chunk.end(),
+                                                   pivots[current], less) -
+                                  chunk.begin());
+          compares += stay;
+        }
+        if (stay > 0) {
+          writers[current].push_span(chunk.first(stay));
+          sizes[current] += stay;
+          reader.advance_n(stay);
+          chunk = chunk.subspan(stay);
+          if (chunk.empty()) break;
+        }
+        advance_to_home(chunk.front());
+        writers[current].push(chunk.front());
+        ++sizes[current];
+        reader.advance_n(1);
+        chunk = chunk.subspan(1);
       }
-      const u64 stay =
-          seq::metered_upper_bound(chunk, pivots[current], meter, less);
-      if (stay > 0) {
-        writers[current].push_span(chunk.first(stay));
-        sizes[current] += stay;
-        reader.advance_n(stay);
-        chunk = chunk.subspan(stay);
-        if (chunk.empty()) break;
-      }
-      // First record past the pivot: advance to its home partition,
-      // creating the files in between (one comparison per step, exactly
-      // the pivot-advance loop of partition_sorted_file).
-      const T& v = chunk.front();
-      while (current + 1 < p) {
-        ++advance_compares;
-        if (!less(pivots[current], v)) break;  // v <= pivot: stays here
-        ++current;
-        files.push_back(disk.create(partition_name(prefix, current)));
-        writers.emplace_back(files.back());
-      }
+    }
+  } else {
+    T v;
+    while (reader.next(v)) {
+      advance_to_home(v);
       writers[current].push(v);
       ++sizes[current];
-      reader.advance_n(1);
-      chunk = chunk.subspan(1);
     }
   }
-  meter.on_compares(advance_compares);
+  meter.on_compares(compares);
   meter.on_moves(reader.size_records());
 
   // Seal open writers and materialise empty partitions for the tail.

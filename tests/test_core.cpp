@@ -225,8 +225,9 @@ TEST(PartitionFile, SeekVariantMatchesScanBitForBit) {
 
     disk.reset_stats();
     CountingMeter seek_meter;
-    const auto seek_sizes = partition_sorted_file_seek<u32>(
-        disk, "s", "seek", std::span<const u32>(pivots), seek_meter);
+    const auto seek_sizes = partition_sorted_file<u32>(
+        disk, "s", "seek", std::span<const u32>(pivots), seek_meter, {},
+        /*boundary_seek=*/true);
     const u64 seek_ios = disk.stats().total_block_ios();
 
     EXPECT_EQ(seek_sizes, scan_sizes);
