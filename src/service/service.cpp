@@ -168,75 +168,6 @@ struct JobVerdict {
   u8 ok = 0;
 };
 
-/// Layout-aware global-order check + output checksum.  Contiguous slices
-/// reuse core::verify_global_order; the bucket layout gathers per-bucket
-/// boundary summaries at rank 0 and checks the global bucket-order chain
-/// there (verify_global_order assumes one file per node, so it cannot be
-/// reused directly).  Returns the same verdict on every node; `after`
-/// accumulates this node's output checksum(s).
-template <Record T, typename Less>
-bool verify_job_order(net::NodeContext& ctx,
-                      const core::ParallelSortConfig& cfg,
-                      const core::BackendReport& report,
-                      MultisetChecksum& after, Less less) {
-  if (report.layout == core::OutputLayout::kContiguousSlice) {
-    const bool ok = core::verify_global_order<T, Less>(ctx, cfg.output, less);
-    after.merge(core::file_checksum<T>(ctx.disk(), cfg.output));
-    return ok;
-  }
-
-  struct BucketSummary {
-    u64 bucket = 0;
-    T first{};
-    T last{};
-    u64 count = 0;
-    u8 sorted = 1;
-  };
-  std::vector<u64> owned = report.owned_buckets;
-  std::sort(owned.begin(), owned.end());
-  std::vector<BucketSummary> mine;
-  mine.reserve(owned.size());
-  for (u64 b : owned) {
-    const std::string name = core::bucket_file_name(cfg.output, b);
-    BucketSummary s;
-    s.bucket = b;
-    s.sorted = core::is_sorted_file<T, Less>(ctx.disk(), name, less) ? 1 : 0;
-    pdm::BlockFile f = ctx.disk().open(name);
-    pdm::BlockReader<T> reader(f);
-    s.count = reader.size_records();
-    if (s.count > 0) {
-      const bool a = reader.next(s.first);
-      PALADIN_ASSERT(a);
-      reader.seek_record(s.count - 1);
-      const bool z = reader.next(s.last);
-      PALADIN_ASSERT(z);
-    }
-    after.merge(core::file_checksum<T>(ctx.disk(), name));
-    mine.push_back(s);
-  }
-  std::vector<BucketSummary> all =
-      ctx.comm().template gather_records<BucketSummary>(
-          std::span<const BucketSummary>(mine), 0);
-  u8 verdict = 1;
-  if (ctx.comm().rank() == 0) {
-    std::sort(all.begin(), all.end(),
-              [](const BucketSummary& a, const BucketSummary& b) {
-                return a.bucket < b.bucket;
-              });
-    bool have_prev = false;
-    T prev_last{};
-    for (const BucketSummary& s : all) {
-      if (s.sorted == 0) verdict = 0;
-      if (s.count == 0) continue;
-      if (have_prev && less(s.first, prev_last)) verdict = 0;
-      prev_last = s.last;
-      have_prev = true;
-    }
-  }
-  verdict = ctx.comm().template bcast_value<u8>(verdict, 0);
-  return verdict != 0;
-}
-
 /// One node's share of one job, start to finish: write the input share,
 /// run the selected backend, verify order + permutation, agree on the
 /// job-wide digest.  This body is exactly what a direct single-run harness
@@ -267,8 +198,8 @@ NodeOutcome run_node_body(net::NodeContext& ctx, const JobSpec& job,
   out.report = core::parallel_external_sort<T, Less>(ctx, perf, cfg, less);
 
   MultisetChecksum after;
-  const bool order_ok =
-      verify_job_order<T, Less>(ctx, cfg, out.report, after, less);
+  const bool order_ok = core::verify_output_order<T, Less>(
+      ctx, cfg.output, out.report, &after, less);
 
   // Permutation + digest: merge every node's (input, output) checksums at
   // rank 0 and broadcast one verdict, so the job-wide digest and ok flag

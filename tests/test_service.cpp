@@ -165,11 +165,11 @@ TEST(ServiceScheduler, SingleJobBitIdenticalToDirectRun) {
                           perf.share(i, kRecords), ctx.disk(), psc.input);
     const MultisetChecksum before =
         core::file_checksum<DefaultKey>(ctx.disk(), psc.input);
-    core::parallel_external_sort<DefaultKey>(ctx, perf, psc);
-    const bool order_ok =
-        core::verify_global_order<DefaultKey>(ctx, psc.output);
-    MultisetChecksum after =
-        core::file_checksum<DefaultKey>(ctx.disk(), psc.output);
+    const core::ParallelSortReport report =
+        core::parallel_external_sort<DefaultKey>(ctx, perf, psc);
+    MultisetChecksum after;
+    const bool order_ok = core::verify_output_order<DefaultKey>(
+        ctx, psc.output, report, &after);
     struct Pair {
       MultisetChecksum before, after;
     };
